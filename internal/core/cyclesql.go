@@ -219,17 +219,6 @@ func (p *Pipeline) executor(db *storage.Database) *sqleval.Executor {
 	return p.execs.getOrCreate(db, func() *sqleval.Executor { return sqleval.New(db) })
 }
 
-// NewPipeline returns a pipeline with the paper's inference settings:
-// beam size 8 for Seq2seq-style models (callers lower it to 5 for
-// LLM-style models, matching the paper's API parameter).
-//
-// Deprecated: use New with functional options — New(model,
-// WithVerifier(verifier), WithBenchmark(benchmark)) is the equivalent
-// call, and the options compose where the positional list cannot grow.
-func NewPipeline(model nl2sql.Model, verifier nli.Verifier, benchmark string) *Pipeline {
-	return New(model, WithVerifier(verifier), WithBenchmark(benchmark))
-}
-
 // Translate runs the feedback loop for one example. Cancelling ctx aborts
 // the loop — including any SQL execution in flight, which the executor
 // interrupts mid-query — and Translate returns the context's error; a
@@ -265,7 +254,7 @@ func (p *Pipeline) Translate(ctx context.Context, ex datasets.Example, db *stora
 	start := time.Now()
 	defer func() { res.Overhead = time.Since(start) }()
 	// One executor serves every candidate — and, when the pipeline came
-	// from NewPipeline, persists across Translate calls so textually
+	// from New, persists across Translate calls so textually
 	// recurring candidates reuse compiled plans (the cache is keyed by
 	// canonical SQL, not AST identity). The executor is safe for
 	// concurrent Exec, so the parallel path shares it across workers.

@@ -16,9 +16,10 @@ const benchQuery = "SELECT T1.name, count(*) FROM singer AS T1 JOIN concert AS T
 // TestParseAllocGate is the allocation regression gate for the
 // zero-allocation front end, in the style of the sqleval index gates:
 // a warm pooled parse of the representative query must stay within 9
-// allocations, and CacheKeyOf of an already-interned shape within 1.
-// Measured values are recorded in BENCH_PR9.json; if an intentional
-// change moves them, update both.
+// allocations, and a warm sqlnorm.Canonical or SelectStmt.SQL of it
+// within 1 (the returned string). Measured values are recorded in
+// BENCH_PR9.json and CHANGES.md; if an intentional change moves them,
+// update both.
 func TestParseAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("absolute alloc gates are meaningless under -race (sync.Pool randomly drops values)")
@@ -37,17 +38,20 @@ func TestParseAllocGate(t *testing.T) {
 	if parseAllocs > 9 {
 		t.Errorf("warm pooled parse costs %.1f allocs/op, gate is 9", parseAllocs)
 	}
-	if _, err := sqlnorm.CacheKeyOf(benchQuery); err != nil {
-		t.Fatal(err)
-	}
-	keyAllocs := testing.AllocsPerRun(200, func() {
-		if _, err := sqlnorm.CacheKeyOf(benchQuery); err != nil {
-			t.Fatal(err)
+	stmt := sqlparse.MustParse(benchQuery)
+	for _, gate := range []struct {
+		name string
+		fn   func() string
+	}{
+		{"sqlnorm.Canonical", func() string { return sqlnorm.Canonical(stmt) }},
+		{"SelectStmt.SQL", stmt.SQL},
+	} {
+		gate.fn()
+		allocs := testing.AllocsPerRun(200, func() { gate.fn() })
+		t.Logf("warm %s: %.1f allocs/op", gate.name, allocs)
+		if allocs > 1 {
+			t.Errorf("warm %s costs %.1f allocs/op, gate is 1", gate.name, allocs)
 		}
-	})
-	t.Logf("warm interned CacheKeyOf: %.1f allocs/op", keyAllocs)
-	if keyAllocs > 1 {
-		t.Errorf("warm interned CacheKeyOf costs %.1f allocs/op, gate is 1", keyAllocs)
 	}
 }
 
@@ -82,8 +86,8 @@ func BenchmarkParseSeed(b *testing.B) {
 }
 
 // BenchmarkParseNewPooled is the arena-reuse mode: the AST is valid
-// only until the next Parse on the same parser — the shape CacheKeyOf
-// and other bounded-lifetime callers use.
+// only until the next Parse on the same parser — the shape
+// bounded-lifetime callers use.
 func BenchmarkParseNewPooled(b *testing.B) {
 	b.ReportAllocs()
 	p := sqlparse.AcquireParser()
@@ -125,14 +129,38 @@ func BenchmarkCacheKeyNew(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheKeyOfNew is the end-to-end string-in key-out path
-// (pooled parse + one-pass render + intern), the whole front end in one
-// call.
-func BenchmarkCacheKeyOfNew(b *testing.B) {
+func BenchmarkCanonicalSeed(b *testing.B) {
+	stmt := sqlparse.MustParse(benchQuery)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sqlnorm.CacheKeyOf(benchQuery); err != nil {
-			b.Fatal(err)
-		}
+		sqloracle.Canonical(stmt)
+	}
+}
+
+func BenchmarkCanonicalNew(b *testing.B) {
+	stmt := sqlparse.MustParse(benchQuery)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sqlnorm.Canonical(stmt)
+	}
+}
+
+func BenchmarkSQLSeed(b *testing.B) {
+	stmt := sqlparse.MustParse(benchQuery)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sqloracle.SQL(stmt)
+	}
+}
+
+func BenchmarkSQLNew(b *testing.B) {
+	stmt := sqlparse.MustParse(benchQuery)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = stmt.SQL()
 	}
 }

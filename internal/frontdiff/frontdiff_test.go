@@ -1,11 +1,13 @@
 // Package frontdiff is the differential harness that holds the
-// zero-allocation SQL front end (sqllex, sqlparse, sqlnorm.CacheKey)
-// bit-identical to the seed implementation preserved in
-// internal/sqloracle. Every corpus — the 200 Spider dev queries, the
+// zero-allocation SQL front end (sqllex, sqlparse, and sqlast's one-pass
+// renderer behind SelectStmt.SQL, sqlnorm.CacheKey and
+// sqlnorm.Canonical) bit-identical to the seed implementation preserved
+// in internal/sqloracle. Every corpus — the 270 Spider dev queries, the
 // 480 seeded-random property queries, and every SQL-looking string
 // literal already present in the repo's tests and testdata — must
 // produce identical token streams, deeply-equal ASTs, byte-identical
-// CacheKeys, and identical ok/error verdicts through both engines.
+// renderings, CacheKeys and EM forms, and identical ok/error verdicts
+// through both engines.
 // The fuzz targets in fuzz_test.go extend the same oracle-agreement
 // property to arbitrary bytes.
 package frontdiff
@@ -15,6 +17,7 @@ import (
 	"testing"
 
 	"cyclesql/internal/datasets"
+	"cyclesql/internal/nl2sql"
 	"cyclesql/internal/sqlgen"
 	"cyclesql/internal/sqllex"
 	"cyclesql/internal/sqlnorm"
@@ -62,9 +65,12 @@ func assertParity(t *testing.T, sql string) bool {
 		t.Errorf("CacheKey divergence on %q:\noracle: %q\nnew:    %q", sql, oKey, nKey)
 		return false
 	}
-	directKey, err := sqlnorm.CacheKeyOf(sql)
-	if err != nil || directKey != nKey {
-		t.Errorf("CacheKeyOf divergence on %q: key %q err %v, want %q", sql, directKey, err, nKey)
+	if oSQL, nSQL := sqloracle.SQL(oStmt), nStmt.SQL(); oSQL != nSQL {
+		t.Errorf("SQL() divergence on %q:\noracle: %q\nnew:    %q", sql, oSQL, nSQL)
+		return false
+	}
+	if oEM, nEM := sqloracle.Canonical(oStmt), sqlnorm.Canonical(nStmt); oEM != nEM {
+		t.Errorf("Canonical divergence on %q:\noracle: %q\nnew:    %q", sql, oEM, nEM)
 		return false
 	}
 	return true
@@ -197,4 +203,29 @@ func TestCacheKeyOrientation(t *testing.T) {
 	if p0 == p1 {
 		t.Error("projection-position comparison must not be oriented")
 	}
+}
+
+// TestEMEqualBeamParity holds the one-pass EM canonicalizer to the
+// seed's verdicts where the loop uses them: every simulated model's
+// beam-8 candidates over the Spider dev set, judged against the gold
+// query. The beams themselves are deduplicated by sqlnorm.Canonical, so
+// this also pins the candidate lists the experiments see.
+func TestEMEqualBeamParity(t *testing.T) {
+	bench := datasets.Spider()
+	pairs := 0
+	for _, name := range nl2sql.ModelNames() {
+		model := nl2sql.MustByName(name)
+		for _, ex := range bench.Dev {
+			for _, c := range model.Translate(bench.Name, ex, bench.DB(ex.DBName), 8) {
+				pairs++
+				if got, want := sqlnorm.EMEqual(ex.Gold, c.Stmt), sqloracle.EMEqual(ex.Gold, c.Stmt); got != want {
+					t.Errorf("%s %s: EMEqual(gold, %q) = %v, oracle %v", name, ex.ID, c.SQL, got, want)
+				}
+				if got, want := sqlnorm.Canonical(c.Stmt), sqloracle.Canonical(c.Stmt); got != want {
+					t.Errorf("%s %s: Canonical(%q) divergence:\noracle: %q\nnew:    %q", name, ex.ID, c.SQL, want, got)
+				}
+			}
+		}
+	}
+	t.Logf("%d (gold, candidate) pairs", pairs)
 }

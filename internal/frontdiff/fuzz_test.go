@@ -14,7 +14,9 @@ import (
 // lexer state (quote escaping, scientific numbers, operator pairs) and
 // every parser production (set ops, joins, subqueries, HAVING, negative
 // literal folding), plus deliberately broken inputs so the error paths
-// stay covered. testdata/fuzz/ holds the same seeds in corpus form.
+// stay covered, and last the EM canonicalizer's corner cases (derived
+// tables, duplicate and unbound qualifiers, FROM-less cores, non-ASCII
+// identifiers). testdata/fuzz/ holds the same seeds in corpus form.
 var fuzzSeeds = []string{
 	"SELECT * FROM t",
 	"SELECT DISTINCT a, b FROM t WHERE 5 > a AND b != 'x' ORDER BY a DESC LIMIT 3 OFFSET 1",
@@ -30,6 +32,9 @@ var fuzzSeeds = []string{
 	"SELECT # FROM t",
 	"SELECT a FROM",
 	"",
+	"SELECT T2.b, t1.A AS x, COUNT(*) FROM t AS T1 JOIN (SELECT b FROM u WHERE 2 = b AND a IN (1, 2)) AS T2 ON T1.k = T2.k JOIN t ON t.z = 3 WHERE T1.c LIKE 'Q%' AND (T2.b = 1 OR T2.b BETWEEN 1 AND 2) AND T1.a IN (SELECT Z.a FROM v AS Z WHERE Z.q = 'X' AND Z.r > 1) GROUP BY T1.a HAVING SUM(T1.c) > 10 ORDER BY 1 DESC",
+	"SELECT B AS Y, a, 1 + 2, T.* WHERE 0 AND x = 'É' AND NOT 3",
+	"SELECT \"Éa\", \"Ö\".* FROM \"Tö\" AS \"Ö\" JOIN \"tÖ\" WHERE \"ö\".x = 1 AND \"TÖ\".y = 2",
 }
 
 // FuzzLex: both lexers must agree on the verdict and, when they accept,
@@ -70,8 +75,9 @@ func FuzzParse(f *testing.F) {
 }
 
 // FuzzCacheKey: for every input both engines parse, the one-pass
-// canonical key must equal the oracle's clone-normalize-render key, and
-// the string-in key must match the AST-in key.
+// renderer's three forms must equal the oracle's: SelectStmt.SQL the
+// seed string renderer, CacheKey the clone-normalize-render key, and
+// Canonical the clone-based EM canonicalizer.
 func FuzzCacheKey(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
@@ -83,18 +89,18 @@ func FuzzCacheKey(f *testing.F) {
 			t.Fatalf("parse verdict divergence on %q: oracle err=%v, new err=%v", sql, oErr, nErr)
 		}
 		if oErr != nil {
-			if _, err := sqlnorm.CacheKeyOf(sql); err == nil {
-				t.Fatalf("CacheKeyOf accepted %q but both parsers rejected it", sql)
-			}
 			return
+		}
+		if oSQL, nSQL := sqloracle.SQL(oStmt), nStmt.SQL(); oSQL != nSQL {
+			t.Fatalf("SQL() divergence on %q:\noracle: %q\nnew:    %q", sql, oSQL, nSQL)
 		}
 		oKey := sqloracle.CacheKey(oStmt)
 		nKey := sqlnorm.CacheKey(nStmt)
 		if oKey != nKey {
 			t.Fatalf("CacheKey divergence on %q:\noracle: %q\nnew:    %q", sql, oKey, nKey)
 		}
-		if direct, err := sqlnorm.CacheKeyOf(sql); err != nil || direct != nKey {
-			t.Fatalf("CacheKeyOf divergence on %q: key %q err %v, want %q", sql, direct, err, nKey)
+		if oEM, nEM := sqloracle.Canonical(oStmt), sqlnorm.Canonical(nStmt); oEM != nEM {
+			t.Fatalf("Canonical divergence on %q:\noracle: %q\nnew:    %q", sql, oEM, nEM)
 		}
 	})
 }

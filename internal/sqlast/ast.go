@@ -1,16 +1,13 @@
 // Package sqlast defines the abstract syntax tree for the Spider SQL
-// dialect, together with SQL rendering, deep cloning, and tree walking.
+// dialect, together with SQL rendering (verbatim, plan-key and EM forms;
+// see render.go), deep cloning, and tree walking.
 // Every downstream system manipulates this AST: the executor evaluates it,
 // the provenance tracker rewrites it (paper §IV-A), the annotator chunks it
 // into clause units (§IV-B), the corruption engine mutates it, and the EM
 // normalizer canonicalizes it.
 package sqlast
 
-import (
-	"strings"
-
-	"cyclesql/internal/sqltypes"
-)
+import "cyclesql/internal/sqltypes"
 
 // CompoundOp is a set operation joining two SELECT cores.
 type CompoundOp string
@@ -198,9 +195,6 @@ func (*SubqueryExpr) isExpr() {}
 
 // Col is shorthand for an unqualified column reference.
 func Col(name string) *ColumnRef { return &ColumnRef{Column: name} }
-
-// QCol is shorthand for a qualified column reference.
-func QCol(table, name string) *ColumnRef { return &ColumnRef{Table: table, Column: name} }
 
 // Lit wraps a value into a literal expression.
 func Lit(v sqltypes.Value) *Literal { return &Literal{Value: v} }
@@ -400,9 +394,3 @@ func (s *SelectStmt) Core() *SelectCore { return s.Cores[0] }
 
 // Wrap builds a one-core statement.
 func Wrap(core *SelectCore) *SelectStmt { return &SelectStmt{Cores: []*SelectCore{core}} }
-
-// EqualSQL reports whether two statements render to the same SQL text,
-// ignoring case. It is a syntactic identity check, not an EM judgment.
-func EqualSQL(a, b *SelectStmt) bool {
-	return strings.EqualFold(a.SQL(), b.SQL())
-}

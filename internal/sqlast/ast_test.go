@@ -8,16 +8,16 @@ import (
 
 func TestBuildersAndRendering(t *testing.T) {
 	core := &SelectCore{
-		Items: []SelectItem{{Expr: QCol("t1", "name")}},
+		Items: []SelectItem{{Expr: &ColumnRef{Table: "t1", Column: "name"}}},
 		From: &FromClause{
 			Base: TableRef{Name: "singer", Alias: "t1"},
 			Joins: []Join{{
 				Type:  InnerJoin,
 				Table: TableRef{Name: "song", Alias: "t2"},
-				On:    Eq(QCol("t1", "id"), QCol("t2", "singer_id")),
+				On:    Eq(&ColumnRef{Table: "t1", Column: "id"}, &ColumnRef{Table: "t2", Column: "singer_id"}),
 			}},
 		},
-		Where: And(Eq(QCol("t2", "sales"), Int(100)), nil),
+		Where: And(Eq(&ColumnRef{Table: "t2", Column: "sales"}, Int(100)), nil),
 	}
 	got := Wrap(core).SQL()
 	want := "SELECT t1.name FROM singer AS t1 JOIN song AS t2 ON t1.id = t2.singer_id WHERE t2.sales = 100"
@@ -163,14 +163,6 @@ func TestCompoundSQL(t *testing.T) {
 	}
 	if stmt.Simple() {
 		t.Fatal("two cores are not simple")
-	}
-}
-
-func TestEqualSQL(t *testing.T) {
-	a := Wrap(&SelectCore{Items: []SelectItem{{Expr: Col("A")}}, From: &FromClause{Base: TableRef{Name: "T"}}})
-	b := Wrap(&SelectCore{Items: []SelectItem{{Expr: Col("a")}}, From: &FromClause{Base: TableRef{Name: "t"}}})
-	if !EqualSQL(a, b) {
-		t.Fatal("EqualSQL must ignore case")
 	}
 }
 

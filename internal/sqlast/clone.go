@@ -1,8 +1,8 @@
 package sqlast
 
 // Clone deep-copies the statement. Rewriters (provenance rules, the
-// corruption engine, the normalizer) clone before mutating so candidate
-// lists and cached gold queries stay intact.
+// corruption engine) clone before mutating so candidate lists and cached
+// gold queries stay intact.
 func (s *SelectStmt) Clone() *SelectStmt {
 	if s == nil {
 		return nil

@@ -1,6 +1,7 @@
 package sqlnorm
 
 import (
+	"reflect"
 	"testing"
 
 	"cyclesql/internal/sqlparse"
@@ -75,18 +76,18 @@ func TestEMSelfInverse(t *testing.T) {
 	sql := "SELECT T1.name, count(*) FROM a AS T1 JOIN b AS T2 ON T1.id = T2.aid WHERE T2.x = 'v' GROUP BY T1.name HAVING count(*) > 2 ORDER BY count(*) DESC LIMIT 5"
 	stmt := sqlparse.MustParse(sql)
 	once := Canonical(stmt)
-	twice := Canonical(sqlparse.MustParse(Normalize(stmt).SQL()))
+	twice := Canonical(sqlparse.MustParse(once))
 	if once != twice {
 		t.Fatalf("normalization must be idempotent:\n1 %s\n2 %s", once, twice)
 	}
 }
 
-func TestNormalizeDoesNotMutateInput(t *testing.T) {
-	stmt := sqlparse.MustParse("SELECT T1.name FROM singer AS T1 WHERE T1.age > 30")
-	before := stmt.SQL()
-	Normalize(stmt)
-	if stmt.SQL() != before {
-		t.Fatal("Normalize must clone, not mutate")
+func TestCanonicalDoesNotMutateInput(t *testing.T) {
+	stmt := sqlparse.MustParse("SELECT T1.name AS n, T1.Age FROM singer AS T1 WHERE T1.age > 30 AND T1.name = 'Joe'")
+	want := sqlparse.MustParse(stmt.SQL())
+	Canonical(stmt)
+	if !reflect.DeepEqual(stmt, want) {
+		t.Fatalf("Canonical mutated its input: %s", stmt.SQL())
 	}
 }
 
@@ -214,7 +215,7 @@ func TestCacheKeyOrientsLiteralFirstComparisons(t *testing.T) {
 }
 
 func TestCacheKeyOrientationPreservesSemantics(t *testing.T) {
-	// EM canonicalization (Normalize) is untouched by cache-key orientation.
+	// EM canonicalization is untouched by cache-key orientation.
 	a := sqlparse.MustParse("SELECT name FROM singer WHERE 30 > age")
 	before := Canonical(a)
 	_ = CacheKey(a)

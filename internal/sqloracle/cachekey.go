@@ -10,7 +10,7 @@ import (
 // CacheKey is the seed plan-cache key: deep-clone the statement,
 // mutate the clone into canonical form (identifier case folding,
 // literal-first comparison orientation, conjunct sorting), render it
-// with sqlast's string-concatenating renderer, then append the
+// with the seed string-concatenating renderer (render.go), then append the
 // original-case projection labels. Dozens to hundreds of allocations
 // per call — which is exactly why sqlnorm.CacheKey re-renders the same
 // string in one pass instead.
@@ -24,7 +24,7 @@ func CacheKey(stmt *sqlast.SelectStmt) string {
 		cacheNormalizeCore(core)
 	}
 	var b strings.Builder
-	b.WriteString(out.SQL())
+	b.WriteString(SQL(out))
 	for _, core := range stmt.Cores {
 		for _, it := range core.Items {
 			b.WriteByte('\x00')
@@ -35,7 +35,7 @@ func CacheKey(stmt *sqlast.SelectStmt) string {
 				// Star expansion labels come from the (already lowered)
 				// stored column names, so stars are case-independent.
 			default:
-				b.WriteString(sqlast.ExprSQL(it.Expr))
+				b.WriteString(exprSQL(it.Expr))
 			}
 		}
 	}
@@ -56,7 +56,7 @@ func cacheNormalizeCore(core *sqlast.SelectCore) {
 	}
 	conj := sqlast.Conjuncts(core.Where)
 	sort.SliceStable(conj, func(i, j int) bool {
-		return sqlast.ExprSQL(conj[i]) < sqlast.ExprSQL(conj[j])
+		return exprSQL(conj[i]) < exprSQL(conj[j])
 	})
 	core.Where = sqlast.FromAnd(conj)
 }

@@ -1,8 +1,12 @@
 // Package sqloracle preserves the seed SQL front end — the
-// string-splitting lexer and node-allocating recursive-descent parser
-// that shipped with the original reproduction — as a reference oracle
-// for differential testing of the zero-allocation front end that
-// replaced it (internal/sqllex, internal/sqlparse, sqlnorm.CacheKey).
+// string-splitting lexer (Lex), the node-allocating recursive-descent
+// parser (Parse), the string-concatenating renderer (SQL), the
+// clone-mutate-render plan-cache key (CacheKey) and the clone-based
+// Spider exact-match canonicalizer (Normalize, Canonical, EMEqual) that
+// shipped with the original reproduction — as a reference oracle for
+// differential testing of the front end that replaced it
+// (internal/sqllex, internal/sqlparse, and sqlast's one-pass renderer
+// behind SelectStmt.SQL, sqlnorm.CacheKey and sqlnorm.Canonical).
 //
 // Nothing in this package is optimized and nothing in it may be used on
 // a production path: every exported identifier carries a Deprecated
@@ -10,7 +14,8 @@
 // caller. The differential suites (internal/frontdiff, the FuzzLex /
 // FuzzParse / FuzzCacheKey targets) compare this package's output
 // bit-for-bit against the rewritten front end: deeply-equal ASTs,
-// identical CacheKey strings, and identical ok/error verdicts.
+// identical rendered SQL, CacheKey and EM strings, and identical
+// ok/error verdicts.
 //
 // The code below is the seed implementation verbatim (modulo package
 // plumbing). Do not fix bugs here without teaching the differential

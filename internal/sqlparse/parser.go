@@ -23,8 +23,7 @@
 //     consume the AST and drop every reference to it before the parser
 //     is reused or released — never hand such an AST to a plan cache, a
 //     goroutine, or anything else that outlives the request (see
-//     docs/linting.md). sqlnorm.CacheKeyOf is the archetypal caller:
-//     parse, render the key, discard.
+//     docs/linting.md).
 //
 // The seed front end this replaces survives verbatim in
 // internal/sqloracle; the differential suites in internal/frontdiff
