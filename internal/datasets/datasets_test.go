@@ -153,6 +153,25 @@ func TestVariantPerturbations(t *testing.T) {
 	}
 }
 
+// TestSpiderDKDeterministic rebuilds the Spider-DK set several times: the
+// seeded rng draws must follow the same adjective order, so every build
+// holds the same questions and SQL in the same order.
+func TestSpiderDKDeterministic(t *testing.T) {
+	a := buildDK()
+	for range 5 {
+		b := buildDK()
+		if len(a.Dev) != len(b.Dev) {
+			t.Fatalf("builds differ in size: %d vs %d", len(a.Dev), len(b.Dev))
+		}
+		for i := range a.Dev {
+			if a.Dev[i].ID != b.Dev[i].ID || a.Dev[i].Question != b.Dev[i].Question || a.Dev[i].GoldSQL != b.Dev[i].GoldSQL {
+				t.Fatalf("example %d differs between builds: %q / %q vs %q / %q",
+					i, a.Dev[i].Question, a.Dev[i].GoldSQL, b.Dev[i].Question, b.Dev[i].GoldSQL)
+			}
+		}
+	}
+}
+
 func TestScienceBenchmarkShape(t *testing.T) {
 	b := Science()
 	if len(b.Databases) != 3 {

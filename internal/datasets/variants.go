@@ -2,7 +2,9 @@ package datasets
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 )
 
@@ -151,8 +153,10 @@ func buildDK() *Benchmark {
 	for _, v := range devVocabs {
 		db := base.DB(v.Domain)
 		i := 0
-		for adj, cond := range v.DK {
-			col, op, val := parseDKCond(cond)
+		// Adjectives in sorted order: the rng draws below must see the same
+		// sequence on every run.
+		for _, adj := range slices.Sorted(maps.Keys(v.DK)) {
+			col, op, val := parseDKCond(v.DK[adj])
 			patterns := []struct{ q, sql string }{
 				{fmt.Sprintf("How many %s %ss are there?", adj, subjectFor(v, col)),
 					fmt.Sprintf("SELECT count(*) FROM %s WHERE %s %s %s", tableFor(v, col), col, op, val)},

@@ -225,7 +225,36 @@ func TestIndexAllocRegressionGate(t *testing.T) {
 			t.Errorf("%s: indexed path allocates %.0f/op vs scan %.0f/op — less than the required 5x win", tc.name, indexed, scan)
 		}
 	}
+
+	// An uncorrelated NOT IN runs its subquery once per execution, so its
+	// allocations must not grow with the outer row count. The subquery
+	// streams 16 rows at every size; the only outer-size-dependent
+	// allocations left are the amortized growth steps of the kept-row
+	// slice (70 vs 76 allocs/op at 256 vs 4096 rows). Re-running the
+	// subquery per outer row costs 7.4k vs 119k.
+	stmt, err := sqlparse.Parse(notInSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	notInAllocs := func(n int) float64 {
+		ex := New(wideDB(t, n))
+		if _, err := ex.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(10, func() {
+			if _, err := ex.Exec(stmt); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := notInAllocs(256), notInAllocs(4096); large > small+16 {
+		t.Errorf("uncorrelated NOT IN allocates %.0f/op over 4096 outer rows vs %.0f/op over 256 — the subquery is re-running per row", large, small)
+	}
 }
+
+// notInSQL is an uncorrelated NOT IN over wideDB: the subquery's 16
+// members are memoized once per execution and probed through a hash set.
+const notInSQL = "SELECT count(*) FROM L WHERE a NOT IN (SELECT b FROM R ORDER BY b LIMIT 16)"
 
 // TestStatsInsertAllocGate bounds what statistics cost the Insert hot
 // path. The planner's statistics are derived from the hash and sorted
@@ -298,6 +327,18 @@ func BenchmarkExecJoin(b *testing.B) {
 // BenchmarkExecLeftJoin measures LEFT JOIN null extension bookkeeping.
 func BenchmarkExecLeftJoin(b *testing.B) {
 	benchExec(b, "SELECT T2.name, T1.flno FROM aircraft AS T2 LEFT JOIN flight AS T1 ON T1.aid = T2.aid", 50, 400)
+}
+
+// BenchmarkExecNotInSubquery measures an uncorrelated NOT IN: the
+// subquery runs once per execution and each outer row probes a hash set.
+func BenchmarkExecNotInSubquery(b *testing.B) {
+	benchExec(b, "SELECT count(*) FROM aircraft WHERE aid NOT IN (SELECT aid FROM flight WHERE origin = 'Tokyo')", 2000, 400)
+}
+
+// BenchmarkExecCorrelatedExists measures a correlated EXISTS, which
+// re-runs its subquery for every outer row.
+func BenchmarkExecCorrelatedExists(b *testing.B) {
+	benchExec(b, "SELECT count(*) FROM aircraft AS A WHERE EXISTS (SELECT 1 FROM flight AS F WHERE F.aid = A.aid AND F.origin = 'Tokyo')", 200, 400)
 }
 
 // BenchmarkExecGroupBy measures grouped aggregation over a join.

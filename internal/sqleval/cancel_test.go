@@ -115,6 +115,24 @@ func TestExecContextCancelsCorrelatedSubquery(t *testing.T) {
 	}
 }
 
+// TestExecContextCancelsUncorrelatedSubquery covers the memoized path: an
+// uncorrelated IN subquery runs once, on first use, and the deadline must
+// still stop its cross join (4M pair visits, none emitted) mid-run.
+func TestExecContextCancelsUncorrelatedSubquery(t *testing.T) {
+	db := wideDB(t, 2000)
+	stmt, err := sqlparse.Parse(
+		"SELECT count(*) FROM L WHERE a IN (SELECT L2.a FROM L AS L2, R WHERE L2.a > R.b)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	_, execErr := New(db).ExecContext(ctx, stmt)
+	if !errors.Is(execErr, context.DeadlineExceeded) {
+		t.Fatalf("want context.DeadlineExceeded, got %v", execErr)
+	}
+}
+
 // TestExecContextNilAndBackground pins the compatibility contract: Exec
 // and ExecContext with a nil or background context behave identically and
 // never abort.

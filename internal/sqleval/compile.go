@@ -63,13 +63,25 @@ func (s *scope) resolve(table, column string) (depth, idx int, ok bool) {
 // bound, and qctx carries the execution's context.Context so those
 // closures re-enter runProgram under the caller's cancellation; keeping
 // both here (instead of on the executor) is what lets one executor run
-// concurrent executions without shared mutable state.
+// concurrent executions without shared mutable state. memo is set only on
+// the row-less root context an execution of a program with uncorrelated
+// subqueries starts from (see Executor.run); every other context of that
+// execution reaches it through its parent chain.
 type rowCtx struct {
 	row    sqltypes.Row
 	parent *rowCtx
 	grp    *groupRows
 	depth  int
 	qctx   context.Context
+	memo   []memoSlot
+}
+
+// memoSlot holds one uncorrelated subquery's result for one execution:
+// the relation once the subquery has run, and — for IN — the member set
+// built from it on first probe.
+type memoSlot struct {
+	rel *sqltypes.Relation
+	in  *memberSet
 }
 
 // groupRows carries one group's member rows into aggregate closures.
@@ -84,11 +96,13 @@ type compiledExpr func(ctx *rowCtx) (sqltypes.Value, error)
 // plus the set operations combining them. nodes counts the plan-node ids
 // the compiler assigned across the whole statement (joins, scans, filters,
 // outputs — including subqueries), sizing the trace arrays ExplainPlan
-// records actual row counts into.
+// records actual row counts into; memos counts the statement's
+// uncorrelated expression subqueries, sizing each execution's memo.
 type program struct {
 	cores []*compiledCore
 	ops   []sqlast.CompoundOp
 	nodes int
+	memos int
 }
 
 // columns returns the output column labels (those of the first core, as
@@ -258,11 +272,36 @@ type orderKey struct {
 
 // compiler lowers statements for one executor. The executor binding is
 // what lets base-table scans resolve to live relations at compile time.
-// nodes hands out plan-node ids, unique across the whole statement.
+// nodes hands out plan-node ids, unique across the whole statement. open
+// stacks the expression subqueries being compiled, innermost last, so
+// every column reference can mark the ones it correlates; memoized lists
+// the uncorrelated ones (their InExpr, ExistsExpr or SubqueryExpr), a
+// subquery's position being its memo slot.
 type compiler struct {
-	ex    *Executor
-	depth int
-	nodes int
+	ex       *Executor
+	depth    int
+	nodes    int
+	open     []*subFrame
+	memoized []sqlast.Expr
+}
+
+// subFrame is one expression subquery under compilation: sc is the scope
+// of the core it appears in, and correlated records whether a column
+// reference inside it, at any nesting, binds to sc or a scope enclosing
+// sc — that is, reads a row the subquery does not produce itself.
+type subFrame struct {
+	sc         *scope
+	correlated bool
+}
+
+// noteBinding marks every open subquery that a reference binding to
+// scope b correlates: those compiled against b or a scope b encloses.
+func (c *compiler) noteBinding(b *scope) {
+	for _, f := range c.open {
+		for s := f.sc; s != nil && !f.correlated; s = s.parent {
+			f.correlated = s == b
+		}
+	}
 }
 
 func (c *compiler) nextNode() int {

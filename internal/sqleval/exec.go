@@ -2,7 +2,9 @@
 // It implements the full Spider dialect: equi-joins (inner and left),
 // tri-state WHERE logic, grouping with HAVING, the five SQL aggregates
 // with DISTINCT, ordering, limits, set operations, and correlated
-// subqueries (IN, EXISTS, scalar).
+// subqueries (IN, EXISTS, scalar). Subqueries that reference no outer row
+// run once per execution, on first use, and IN probes their result
+// through a hash set; correlated ones re-run per outer row.
 //
 // The executor is a two-phase compile-and-execute engine. The compile
 // phase (compile.go) runs once per statement: it resolves every column
@@ -29,20 +31,22 @@
 // executor.
 //
 // An Executor is safe for concurrent Exec calls: execution state (the
-// subquery-depth guard, row contexts, scratch buffers) lives on the call
-// stack, the plan cache is guarded by a read-mostly lock, and the storage
-// layer guards its lazy index builds. The NestedLoopOnly and NoIndexes
-// flags must be set before the first Exec and not changed afterwards, and
-// the database contents must not be mutated while executions are in
-// flight (the store itself documents the same reader/writer contract).
+// subquery-depth guard, row contexts, scratch buffers, the memo of
+// uncorrelated subquery results) lives on the call stack, the plan cache
+// is guarded by a read-mostly lock, and the storage layer guards its lazy
+// index builds. The NestedLoopOnly and NoIndexes flags must be set before
+// the first Exec and not changed afterwards, and the database contents
+// must not be mutated while executions are in flight (the store itself
+// documents the same reader/writer contract).
 //
 // Cancellation: ExecContext aborts a running query when its context is
 // cancelled. The context is checked on entry to every program (so a
-// statement — or a correlated subquery evaluated per outer row — never
-// starts against a dead context) and then polled every
-// cancelCheckInterval rows inside the scan-filter, join, and projection
-// inner loops, so even a single pathological cross join returns within a
-// bounded number of row visits of the cancellation. Exec is ExecContext
+// statement — or a correlated subquery evaluated per outer row, or an
+// uncorrelated one on its single run — never starts against a dead
+// context) and then polled every cancelCheckInterval rows inside the
+// scan-filter, join, and projection inner loops, so even a single
+// pathological cross join returns within a bounded number of row visits
+// of the cancellation. Exec is ExecContext
 // with a background context — the paper's sequential loop and the many
 // one-shot executions in this repository pay no cancellation plumbing.
 package sqleval
@@ -164,7 +168,7 @@ func (ex *Executor) ExecContext(ctx context.Context, stmt *sqlast.SelectStmt) (*
 	if err != nil {
 		return nil, err
 	}
-	return ex.runProgram(ctx, prog, nil, 1)
+	return ex.run(ctx, prog)
 }
 
 func (ex *Executor) compiled(stmt *sqlast.SelectStmt) (*program, error) {
@@ -188,7 +192,7 @@ func (ex *Executor) compiled(stmt *sqlast.SelectStmt) (*program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.nodes = c.nodes
+	p.nodes, p.memos = c.nodes, len(c.memoized)
 	ex.storePlan(stmt, key, p)
 	return p, nil
 }
@@ -207,13 +211,29 @@ func (ex *Executor) storePlan(stmt *sqlast.SelectStmt, key string, p *program) {
 	ex.plansByKey[key] = p
 }
 
+// run executes a compiled top-level program. A program with uncorrelated
+// subqueries starts from a fresh row-less root context carrying this
+// execution's memo, which every row context of the execution reaches
+// through its parent chain; the memo lives and dies with the execution,
+// never on the shared program or the executor, so concurrent executions
+// stay independent and a re-execution sees the database as it is then. A
+// program without them starts from no context and allocates nothing here.
+func (ex *Executor) run(ctx context.Context, p *program) (*sqltypes.Relation, error) {
+	var root *rowCtx
+	if p.memos > 0 {
+		root = &rowCtx{memo: make([]memoSlot, p.memos)}
+	}
+	return ex.runProgram(ctx, p, root, 1)
+}
+
 // runProgram executes a compiled program. depth is the current subquery
 // nesting (1 for a top-level statement); depth and ctx thread through the
 // call chain — and into row contexts, for subquery closures — instead of
 // living on the executor, so concurrent executions cannot observe each
 // other. The entry check makes an already-cancelled context return before
 // any rows are visited, and gives correlated subqueries (re-entered here
-// once per outer row) a natural per-row cancellation point.
+// once per outer row) a natural per-row cancellation point; an
+// uncorrelated subquery enters here once per execution, on first use.
 func (ex *Executor) runProgram(ctx context.Context, p *program, outer *rowCtx, depth int) (*sqltypes.Relation, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

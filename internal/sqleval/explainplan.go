@@ -19,7 +19,9 @@ import (
 
 // execTrace accumulates actual row counts per plan node. Counts start at
 // -1 ("never executed") and accumulate across executions, so a correlated
-// derived table re-run per outer row reports its total rows produced.
+// derived table re-run per outer row reports its total rows produced. An
+// uncorrelated subquery runs once per execution, so the counts of nodes
+// inside it reflect that one run, however many outer rows consulted it.
 type execTrace struct {
 	rows  []int64
 	pairs []int64
@@ -84,7 +86,7 @@ func (ex *Executor) PlanTree(ctx context.Context, stmt *sqlast.SelectStmt) (*pla
 		return nil, err
 	}
 	child.trace = newExecTrace(prog.nodes)
-	if _, err := child.runProgram(ctx, prog, nil, 1); err != nil {
+	if _, err := child.run(ctx, prog); err != nil {
 		return nil, err
 	}
 	return &plan.Tree{Root: programNode(prog, child.trace)}, nil

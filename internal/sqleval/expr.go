@@ -27,6 +27,13 @@ func (c *compiler) compileExpr(e sqlast.Expr, sc *scope) (compiledExpr, error) {
 		if !ok {
 			return nil, fmt.Errorf("sqleval: unknown column %s", sqlast.ExprSQL(x))
 		}
+		if len(c.open) > 0 {
+			b := sc
+			for d := depth; d > 0; d-- {
+				b = b.parent
+			}
+			c.noteBinding(b)
+		}
 		return columnAt(depth, idx), nil
 	case *sqlast.Unary:
 		fn, err := c.compileExpr(x.X, sc)
@@ -134,26 +141,25 @@ func (c *compiler) compileExpr(e sqlast.Expr, sc *scope) (compiledExpr, error) {
 			return sqltypes.NewBool(v.IsNull() != not), nil
 		}, nil
 	case *sqlast.ExistsExpr:
-		sub, err := c.compileStmt(x.Sub, sc)
+		run, err := c.compileSubquery(x, x.Sub, sc)
 		if err != nil {
 			return nil, err
 		}
-		ex, not := c.ex, x.Not
+		not := x.Not
 		return func(ctx *rowCtx) (sqltypes.Value, error) {
-			rel, err := ex.runProgram(ctx.qctx, sub, ctx, ctx.depth+1)
+			rel, _, err := run(ctx)
 			if err != nil {
 				return sqltypes.Value{}, err
 			}
 			return sqltypes.NewBool((rel.NumRows() > 0) != not), nil
 		}, nil
 	case *sqlast.SubqueryExpr:
-		sub, err := c.compileStmt(x.Sub, sc)
+		run, err := c.compileSubquery(x, x.Sub, sc)
 		if err != nil {
 			return nil, err
 		}
-		ex := c.ex
 		return func(ctx *rowCtx) (sqltypes.Value, error) {
-			rel, err := ex.runProgram(ctx.qctx, sub, ctx, ctx.depth+1)
+			rel, _, err := run(ctx)
 			if err != nil {
 				return sqltypes.Value{}, err
 			}
@@ -317,55 +323,93 @@ func arith(op string, l, r sqltypes.Value) sqltypes.Value {
 	return sqltypes.Null()
 }
 
+// subRun evaluates an expression subquery under one row context. It
+// returns the subquery's result and, for an uncorrelated subquery, the
+// memo slot holding it; a correlated subquery re-runs on every call and
+// reports a nil slot.
+type subRun func(ctx *rowCtx) (*sqltypes.Relation, *memoSlot, error)
+
+// compileSubquery compiles the statement of expression subquery e against
+// the scope sc of the core e appears in, and classifies it. A subquery is
+// correlated when some column reference inside it, at any nesting, binds
+// to sc or a scope enclosing sc (see noteBinding) — by the scope a
+// reference binds to, not by nesting depth: a derived table compiles
+// against its enclosing core's parent scope, so the two depths disagree
+// there. A correlated subquery re-runs per outer row, under that row as
+// its outer context. An uncorrelated one runs lazily, on first use, once
+// per top-level execution, under the execution's root context, and its
+// result stays in the execution's memo; an empty outer input still never
+// runs it, and its errors surface at that first use, as before.
+func (c *compiler) compileSubquery(e sqlast.Expr, stmt *sqlast.SelectStmt, sc *scope) (subRun, error) {
+	f := &subFrame{sc: sc}
+	c.open = append(c.open, f)
+	sub, err := c.compileStmt(stmt, sc)
+	c.open = c.open[:len(c.open)-1]
+	if err != nil {
+		return nil, err
+	}
+	ex := c.ex
+	if f.correlated {
+		return func(ctx *rowCtx) (*sqltypes.Relation, *memoSlot, error) {
+			rel, err := ex.runProgram(ctx.qctx, sub, ctx, ctx.depth+1)
+			return rel, nil, err
+		}, nil
+	}
+	slot := len(c.memoized)
+	c.memoized = append(c.memoized, e)
+	return func(ctx *rowCtx) (*sqltypes.Relation, *memoSlot, error) {
+		root := ctx
+		for root.parent != nil {
+			root = root.parent
+		}
+		m := &root.memo[slot]
+		if m.rel == nil {
+			rel, err := ex.runProgram(ctx.qctx, sub, root, ctx.depth+1)
+			if err != nil {
+				return nil, nil, err
+			}
+			m.rel = rel
+		}
+		return m.rel, m, nil
+	}, nil
+}
+
 func (c *compiler) compileIn(x *sqlast.InExpr, sc *scope) (compiledExpr, error) {
 	xfn, err := c.compileExpr(x.X, sc)
 	if err != nil {
 		return nil, err
 	}
 	not := x.Not
-	membership := func(v sqltypes.Value, members []sqltypes.Value) sqltypes.Value {
-		if v.IsNull() {
-			return sqltypes.Null()
-		}
-		found := false
-		sawNull := false
-		for _, m := range members {
-			if m.IsNull() {
-				sawNull = true
-				continue
-			}
-			if sqltypes.Compare(v, m) == 0 {
-				found = true
-				break
-			}
-		}
-		if !found && sawNull {
-			return sqltypes.Null()
-		}
-		return sqltypes.NewBool(found != not)
-	}
 	if x.Sub != nil {
-		sub, err := c.compileStmt(x.Sub, sc)
+		run, err := c.compileSubquery(x, x.Sub, sc)
 		if err != nil {
 			return nil, err
 		}
-		ex := c.ex
 		return func(ctx *rowCtx) (sqltypes.Value, error) {
 			v, err := xfn(ctx)
 			if err != nil {
 				return sqltypes.Value{}, err
 			}
-			rel, err := ex.runProgram(ctx.qctx, sub, ctx, ctx.depth+1)
+			rel, m, err := run(ctx)
 			if err != nil {
 				return sqltypes.Value{}, err
 			}
-			var members []sqltypes.Value
-			for _, row := range rel.Rows {
-				if len(row) > 0 {
-					members = append(members, row[0])
-				}
+			if m == nil {
+				return membership(v, firstColumn(rel), not), nil
 			}
-			return membership(v, members), nil
+			if m.in == nil {
+				m.in = newMemberSet(firstColumn(rel))
+			}
+			return m.in.membership(v, not), nil
+		}, nil
+	}
+	if consts, ok := literalValues(x.List); ok {
+		return func(ctx *rowCtx) (sqltypes.Value, error) {
+			v, err := xfn(ctx)
+			if err != nil {
+				return sqltypes.Value{}, err
+			}
+			return membership(v, consts, not), nil
 		}, nil
 	}
 	var memberFns []compiledExpr
@@ -387,8 +431,111 @@ func (c *compiler) compileIn(x *sqlast.InExpr, sc *scope) (compiledExpr, error) 
 				return sqltypes.Value{}, err
 			}
 		}
-		return membership(v, members), nil
+		return membership(v, members, not), nil
 	}, nil
+}
+
+// firstColumn returns the first value of each row of rel: the members of
+// an IN subquery.
+func firstColumn(rel *sqltypes.Relation) []sqltypes.Value {
+	var vals []sqltypes.Value
+	for _, row := range rel.Rows {
+		if len(row) > 0 {
+			vals = append(vals, row[0])
+		}
+	}
+	return vals
+}
+
+// literalValues returns the values of an IN list whose members are all
+// literals, so the list is built once at compile time instead of per row.
+func literalValues(list []sqlast.Expr) ([]sqltypes.Value, bool) {
+	vals := make([]sqltypes.Value, len(list))
+	for i, e := range list {
+		lit, ok := e.(*sqlast.Literal)
+		if !ok {
+			return nil, false
+		}
+		vals[i] = lit.Value
+	}
+	return vals, true
+}
+
+// membership is IN's tri-state result for probe v over members (NOT IN
+// when not is set): NULL for a NULL probe, and NULL for a miss when some
+// member is NULL.
+func membership(v sqltypes.Value, members []sqltypes.Value, not bool) sqltypes.Value {
+	if v.IsNull() {
+		return sqltypes.Null()
+	}
+	found := false
+	sawNull := false
+	for _, m := range members {
+		if m.IsNull() {
+			sawNull = true
+			continue
+		}
+		if sqltypes.Compare(v, m) == 0 {
+			found = true
+			break
+		}
+	}
+	if !found && sawNull {
+		return sqltypes.Null()
+	}
+	return sqltypes.NewBool(found != not)
+}
+
+// memberSet is the member list of an uncorrelated IN subquery, hashed by
+// sqltypes.AppendCompareKey — under which two values encode identically
+// exactly when Compare orders them equal — so a probe is one map lookup
+// instead of a scan. Compare also finds NaN equal to every number, which
+// no encoding mirrors, so a NaN probe or a set holding a NaN falls back to
+// the linear scan. A set belongs to one execution, so its key scratch
+// buffer needs no lock.
+type memberSet struct {
+	members []sqltypes.Value
+	keys    map[string]struct{}
+	sawNull bool
+	nan     bool
+	buf     []byte
+}
+
+func newMemberSet(members []sqltypes.Value) *memberSet {
+	s := &memberSet{members: members, keys: make(map[string]struct{}, len(members))}
+	for _, v := range members {
+		s.nan = s.nan || isNaN(v)
+		key, ok := v.AppendCompareKey(s.buf[:0])
+		if !ok {
+			s.sawNull = true
+			continue
+		}
+		s.buf = key
+		s.keys[string(key)] = struct{}{}
+	}
+	return s
+}
+
+// membership is the hashed equivalent of the package-level membership
+// over s.members.
+func (s *memberSet) membership(v sqltypes.Value, not bool) sqltypes.Value {
+	if s.nan || isNaN(v) {
+		return membership(v, s.members, not)
+	}
+	key, ok := v.AppendCompareKey(s.buf[:0])
+	if !ok {
+		return sqltypes.Null()
+	}
+	s.buf = key
+	_, found := s.keys[string(key)]
+	if !found && s.sawNull {
+		return sqltypes.Null()
+	}
+	return sqltypes.NewBool(found != not)
+}
+
+func isNaN(v sqltypes.Value) bool {
+	return v.Kind() == sqltypes.KindFloat && math.IsNaN(v.Float())
 }
 
 func (c *compiler) compileFunc(x *sqlast.FuncCall, sc *scope) (compiledExpr, error) {

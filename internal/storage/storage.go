@@ -195,8 +195,10 @@ func (db *Database) Clone() *Database {
 	return out
 }
 
-// Mutate applies fn to every stored row of every table. The test-suite
-// distillation uses it to perturb copies of the database. It drops every
+// Mutate applies fn to every stored row of every table, tables in schema
+// order, so a stateful fn sees the same row sequence on every run. The
+// test-suite distillation uses it to perturb copies of the database with
+// one seeded rng. It drops every
 // built index first — fn rewrites values in place, so any probe served
 // from a pre-mutation bucket would read stale rows. Tables pinned by a
 // snapshot are deep-copied before fn touches them (fn rewrites row
@@ -210,7 +212,8 @@ func (db *Database) Mutate(fn func(table string, row sqltypes.Row)) {
 	defer db.mu.Unlock()
 	db.indexes, db.sorted, db.composite = nil, nil, nil
 	db.epoch++
-	for name := range db.tables {
+	for _, t := range db.Schema.Tables {
+		name := strings.ToLower(t.Name)
 		rel := db.writeTableLocked(name, true)
 		for _, row := range rel.Rows {
 			fn(name, row)

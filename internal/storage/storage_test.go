@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"cyclesql/internal/schema"
@@ -95,6 +97,30 @@ func TestMutateVisitsEveryRow(t *testing.T) {
 	}
 	if db.Table("Pet").Rows[1][2].Float() != 4 {
 		t.Fatal("mutation not applied in place")
+	}
+}
+
+// TestMutateVisitsTablesInSchemaOrder pins Mutate's table order: a
+// stateful fn (the test-suite distillation's seeded rng) must see the same
+// row sequence on every call, so tables go in schema order, never map
+// order. Clones rebuild their table map, so they are checked too.
+func TestMutateVisitsTablesInSchemaOrder(t *testing.T) {
+	s := &schema.Schema{Name: "many"}
+	var want []string
+	for _, name := range []string{"Zeta", "alpha", "Mid", "beta", "Omega", "gamma"} {
+		s.Tables = append(s.Tables, &schema.Table{Name: name, Columns: []schema.Column{{Name: "x", Type: sqltypes.KindInt}}})
+		want = append(want, strings.ToLower(name))
+	}
+	db := NewDatabase(s)
+	for _, tbl := range s.Tables {
+		db.MustInsert(tbl.Name, sqltypes.NewInt(1))
+	}
+	for i := 0; i < 20; i++ {
+		var got []string
+		db.Clone().Mutate(func(table string, _ sqltypes.Row) { got = append(got, table) })
+		if !slices.Equal(got, want) {
+			t.Fatalf("Mutate visited %v, want schema order %v", got, want)
+		}
 	}
 }
 
