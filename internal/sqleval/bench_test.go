@@ -192,6 +192,10 @@ func BenchmarkScanCompositeJoin(b *testing.B) {
 // scan paths. AllocsPerRun is deterministic here (steady-state executions
 // of cached plans), so the gate cannot flake; BENCH_PR2.json and
 // BENCH_PR5.json record the full timed numbers.
+//
+// Its flat-allocation clauses require an uncorrelated NOT IN, a counted
+// join and a post-join-filtered join projection to allocate the same per
+// execution at two input sizes.
 func TestIndexAllocRegressionGate(t *testing.T) {
 	for _, tc := range []struct {
 		name, sql           string
@@ -250,7 +254,41 @@ func TestIndexAllocRegressionGate(t *testing.T) {
 	if small, large := notInAllocs(256), notInAllocs(4096); large > small+16 {
 		t.Errorf("uncorrelated NOT IN allocates %.0f/op over 4096 outer rows vs %.0f/op over 256 — the subquery is re-running per row", large, small)
 	}
+
+	// Joined rows stream through the pipeline instead of being
+	// materialized, so a join whose output is counted, or filtered down to
+	// a fixed handful of rows after the join, allocates the same per
+	// execution whatever the join's output size (400 vs 4000 joined rows
+	// here). Materializing every joined row costs one row per output.
+	for _, sql := range []string{joinCountSQL, joinFilterSQL} {
+		stmt, err := sqlparse.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		joinAllocs := func(nFlights int) float64 {
+			ex := New(benchDB(t, 50, nFlights))
+			if _, err := ex.Exec(stmt); err != nil {
+				t.Fatal(err)
+			}
+			return testing.AllocsPerRun(10, func() {
+				if _, err := ex.Exec(stmt); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if small, large := joinAllocs(400), joinAllocs(4000); large > small+16 {
+			t.Errorf("%s allocates %.0f/op over 4000 joined rows vs %.0f/op over 400 — joined rows are being materialized", sql, large, small)
+		}
+	}
 }
+
+// joinCountSQL counts a join's output: every joined row flows straight
+// into the COUNT(*) accumulator.
+const joinCountSQL = "SELECT count(*) FROM flight AS T1 JOIN aircraft AS T2 ON T1.aid = T2.aid"
+
+// joinFilterSQL projects a LEFT JOIN through a post-join filter (LEFT
+// JOIN keeps WHERE above the join) that keeps 7 rows at every size.
+const joinFilterSQL = "SELECT T1.flno, T2.name FROM flight AS T1 LEFT JOIN aircraft AS T2 ON T1.aid = T2.aid WHERE T1.flno * 1 < 8"
 
 // notInSQL is an uncorrelated NOT IN over wideDB: the subquery's 16
 // members are memoized once per execution and probed through a hash set.
@@ -339,6 +377,19 @@ func BenchmarkExecNotInSubquery(b *testing.B) {
 // re-runs its subquery for every outer row.
 func BenchmarkExecCorrelatedExists(b *testing.B) {
 	benchExec(b, "SELECT count(*) FROM aircraft AS A WHERE EXISTS (SELECT 1 FROM flight AS F WHERE F.aid = A.aid AND F.origin = 'Tokyo')", 200, 400)
+}
+
+// BenchmarkExecJoinCount measures a counted equi-join: joined rows stream
+// into the COUNT(*) accumulator without being materialized.
+func BenchmarkExecJoinCount(b *testing.B) {
+	benchExec(b, joinCountSQL, 50, 400)
+}
+
+// BenchmarkExecGroupedJoin measures hash aggregation of several
+// aggregates over a join: one pass folds every joined row into its
+// group's accumulators.
+func BenchmarkExecGroupedJoin(b *testing.B) {
+	benchExec(b, "SELECT T1.origin, count(*), sum(T2.distance), avg(T2.distance), max(T1.flno) FROM flight AS T1 JOIN aircraft AS T2 ON T1.aid = T2.aid GROUP BY T1.origin", 50, 400)
 }
 
 // BenchmarkExecGroupBy measures grouped aggregation over a join.

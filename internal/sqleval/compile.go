@@ -57,8 +57,8 @@ func (s *scope) resolve(table, column string) (depth, idx int, ok bool) {
 
 // rowCtx is the runtime environment a compiled expression evaluates in:
 // the current flat frame row, the enclosing query's context for correlated
-// references, and — during grouped projection — the rows of the current
-// group for aggregate closures. depth carries the subquery nesting of the
+// references, and — while a grouped core emits its groups — the current
+// group's aggregate accumulators. depth carries the subquery nesting of the
 // core being executed so subquery closures can recurse with the right
 // bound, and qctx carries the execution's context.Context so those
 // closures re-enter runProgram under the caller's cancellation; keeping
@@ -70,7 +70,7 @@ func (s *scope) resolve(table, column string) (depth, idx int, ok bool) {
 type rowCtx struct {
 	row    sqltypes.Row
 	parent *rowCtx
-	grp    *groupRows
+	grp    []aggState
 	depth  int
 	qctx   context.Context
 	memo   []memoSlot
@@ -84,11 +84,6 @@ type memoSlot struct {
 	in  *memberSet
 }
 
-// groupRows carries one group's member rows into aggregate closures.
-type groupRows struct {
-	rows []sqltypes.Row
-}
-
 // compiledExpr evaluates one expression against a row context.
 type compiledExpr func(ctx *rowCtx) (sqltypes.Value, error)
 
@@ -97,17 +92,19 @@ type compiledExpr func(ctx *rowCtx) (sqltypes.Value, error)
 // the compiler assigned across the whole statement (joins, scans, filters,
 // outputs — including subqueries), sizing the trace arrays ExplainPlan
 // records actual row counts into; memos counts the statement's
-// uncorrelated expression subqueries, sizing each execution's memo.
+// uncorrelated expression subqueries, sizing each execution's memo; gen is
+// the database's table generation the program was compiled at.
 type program struct {
 	cores []*compiledCore
 	ops   []sqlast.CompoundOp
 	nodes int
 	memos int
+	gen   uint64
 }
 
 // columns returns the output column labels (those of the first core, as
 // with set operations in SQLite).
-func (p *program) columns() []string { return p.cores[0].labels() }
+func (p *program) columns() []string { return p.cores[0].cols }
 
 // compiledCore is one lowered SELECT core.
 type compiledCore struct {
@@ -125,22 +122,23 @@ type compiledCore struct {
 	// stream, when non-nil, lowers ORDER BY (and LIMIT/OFFSET) into a walk
 	// of the base table's sorted index instead of materialize-and-sort.
 	stream *streamPlan
-	hasAgg bool
-	width  int
+	// grouped marks cores that aggregate (GROUP BY, an aggregate item, or
+	// HAVING); aggs are the accumulators their items, HAVING and ORDER BY
+	// read, one slot per aggregate call.
+	grouped bool
+	aggs    []aggSpec
+	// cols are the output column labels, shared by every result relation
+	// the core produces; evalKeys marks ORDER BY keys that are not
+	// projected columns and so are evaluated per output row.
+	cols     []string
+	evalKeys bool
+	width    int
 	// id is the core's output plan node, filterID the post-join filter
 	// stage's (-1 when the core has no post-join filters); est is the
 	// cost-based estimate of the core's output rows (-1 outside cost mode).
 	id       int
 	filterID int
 	est      float64
-}
-
-func (cc *compiledCore) labels() []string {
-	out := make([]string, len(cc.items))
-	for i, it := range cc.items {
-		out[i] = it.label
-	}
-	return out
 }
 
 // tableScan is one FROM entry: a base table (resolved to its live relation
@@ -189,16 +187,19 @@ type streamPlan struct {
 	desc bool
 }
 
-func (ts *tableScan) rows(ctx context.Context, ex *Executor, outer *rowCtx, depth int) ([]sqltypes.Row, bool, error) {
+// rows returns the scan's rows in scan order. Base-table rows are the
+// table's own, shared with the storage layer; callers must not modify
+// them.
+func (ts *tableScan) rows(ctx context.Context, ex *Executor, outer *rowCtx, depth int) ([]sqltypes.Row, error) {
 	if ts.sub != nil {
 		rel, err := ex.runProgram(ctx, ts.sub, outer, depth+1)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		if ex.trace != nil {
 			ex.trace.addRows(ts.id, int64(len(rel.Rows)))
 		}
-		return rel.Rows, true, nil
+		return rel.Rows, nil
 	}
 	if ts.probe != nil {
 		ids := ex.db.Index(ts.table, ts.probe.col).Lookup(ts.probe.key)
@@ -209,7 +210,7 @@ func (ts *tableScan) rows(ctx context.Context, ex *Executor, outer *rowCtx, dept
 		if ex.trace != nil {
 			ex.trace.addRows(ts.id, int64(len(matched)))
 		}
-		return matched, true, nil
+		return matched, nil
 	}
 	if ts.rprobe != nil {
 		rp := ts.rprobe
@@ -227,12 +228,12 @@ func (ts *tableScan) rows(ctx context.Context, ex *Executor, outer *rowCtx, dept
 		if ex.trace != nil {
 			ex.trace.addRows(ts.id, int64(len(matched)))
 		}
-		return matched, true, nil
+		return matched, nil
 	}
 	if ex.trace != nil {
 		ex.trace.addRows(ts.id, int64(len(ts.rel.Rows)))
 	}
-	return ts.rel.Rows, false, nil
+	return ts.rel.Rows, nil
 }
 
 // joinPlan describes how one table joins into the frame. eqAcc/eqNew are
@@ -276,13 +277,18 @@ type orderKey struct {
 // stacks the expression subqueries being compiled, innermost last, so
 // every column reference can mark the ones it correlates; memoized lists
 // the uncorrelated ones (their InExpr, ExistsExpr or SubqueryExpr), a
-// subquery's position being its memo slot.
+// subquery's position being its memo slot. aggs collects the aggregate
+// calls, one accumulator slot each, of the grouped core whose items,
+// HAVING or ORDER BY are compiling; it is nil everywhere else (FROM, ON,
+// WHERE, GROUP BY, an aggregate's argument), where an aggregate compiles
+// to a closure that reports it is outside a grouped context.
 type compiler struct {
 	ex       *Executor
 	depth    int
 	nodes    int
 	open     []*subFrame
 	memoized []sqlast.Expr
+	aggs     *[]aggSpec
 }
 
 // subFrame is one expression subquery under compilation: sc is the scope
@@ -356,6 +362,9 @@ func (c *compiler) compileCore(core *sqlast.SelectCore, parent *scope) (*compile
 
 func (c *compiler) lowerCore(core *sqlast.SelectCore, parent *scope) (*compiledCore, error) {
 	cc := &compiledCore{core: core, est: -1, filterID: -1}
+	outerAggs := c.aggs
+	c.aggs = nil
+	defer func() { c.aggs = outerAggs }()
 	sc := &scope{parent: parent}
 	allInner := true
 	if core.From != nil {
@@ -460,12 +469,25 @@ func (c *compiler) lowerCore(core *sqlast.SelectCore, parent *scope) (*compiledC
 		cc.filters = append(cc.filters, fn)
 	}
 
+	// Aggregates accumulate only for a grouped core's items, HAVING and
+	// ORDER BY; GROUP BY itself compiles outside the grouped context.
+	cc.grouped = len(core.GroupBy) > 0 || core.HasAggregate()
+	var aggs *[]aggSpec
+	if cc.grouped {
+		aggs = new([]aggSpec)
+	}
+	c.aggs = aggs
 	items, starts, err := c.compileItems(core, sc)
 	if err != nil {
 		return nil, err
 	}
 	cc.items = items
+	cc.cols = make([]string, len(items))
+	for i, it := range items {
+		cc.cols[i] = it.label
+	}
 
+	c.aggs = nil
 	for _, g := range core.GroupBy {
 		fn, err := c.compileExpr(g, sc)
 		if err != nil {
@@ -473,12 +495,12 @@ func (c *compiler) lowerCore(core *sqlast.SelectCore, parent *scope) (*compiledC
 		}
 		cc.groupBy = append(cc.groupBy, fn)
 	}
+	c.aggs = aggs
 	if core.Having != nil {
 		if cc.having, err = c.compileExpr(core.Having, sc); err != nil {
 			return nil, err
 		}
 	}
-	cc.hasAgg = core.HasAggregate()
 
 	for _, o := range core.OrderBy {
 		idx, kexpr := orderKeyExpr(o, core.Items, items, starts)
@@ -488,8 +510,13 @@ func (c *compiler) lowerCore(core *sqlast.SelectCore, parent *scope) (*compiledC
 			if ok.fn, err = c.compileExpr(kexpr, sc); err != nil {
 				return nil, err
 			}
+			cc.evalKeys = true
 		}
 		cc.orderKeys = append(cc.orderKeys, ok)
+	}
+	c.aggs = nil
+	if aggs != nil {
+		cc.aggs = *aggs
 	}
 	c.lowerStream(cc, core, sc)
 	if len(cc.filters) > 0 {
@@ -524,7 +551,7 @@ func (c *compiler) lowerStream(cc *compiledCore, core *sqlast.SelectCore, sc *sc
 	if c.ex.NoIndexes || c.ex.NestedLoopOnly {
 		return
 	}
-	if core.Distinct || cc.hasAgg || len(cc.groupBy) > 0 || len(cc.scans) != 1 {
+	if core.Distinct || cc.grouped || len(cc.scans) != 1 {
 		return
 	}
 	ts := cc.scans[0]

@@ -12,21 +12,31 @@
 // keys in ON and WHERE, lowers col = literal conjuncts into hash-index
 // point probes and comparison/BETWEEN conjuncts into sorted-index range
 // probes, recognizes ORDER BY col [LIMIT k] orderings that can stream off
-// a sorted index, pushes the remaining filters below inner joins, and
-// lowers every expression into a closure. The execute phase reads point
-// lookups and range spans straight off lazily built storage indexes,
-// streams ordered output (stream.go) in index order with early cutoff
-// under LIMIT, streams rows through hash equi-joins (single-column build
-// sides reuse the table's column index and multi-key build sides its
-// composite index instead of rebuilding a hash table per execution;
-// otherwise the build side is chosen by cardinality, with a nested-loop
-// fallback for non-equi conditions), evaluates the pre-bound closures
-// directly against flat rows — no per-row environment allocation, no name
-// lookups — and uses compact binary row keys (sqltypes.AppendKey) for
-// every dedup, grouping, and join-matching structure. Compiled plans are cached per executor, first by
-// statement identity and then by canonical SQL (sqlnorm.CacheKey), so
-// re-executing a statement — or a textually identical candidate arriving
-// as a distinct AST from another beam — skips straight to execution.
+// a sorted index, pushes the remaining filters below inner joins, gives
+// every aggregate call of a grouped core an accumulator slot, and lowers
+// every expression into a closure. The execute phase runs each core as a
+// push pipeline: base-scan rows (read straight off the table, a point
+// lookup or a range span) pass the pushed-down filters and flow through
+// one join stage per joined table, each writing combined rows into one
+// reused scratch frame, into the post-join filters; every surviving row
+// is either projected at once or, for a grouped core, folded into its
+// group's aggregate accumulators (aggregate.go) in the same pass, and the
+// groups are projected when the input ends. No joined row, per-group row
+// list or per-evaluation aggregate value list is ever built. Join stages
+// reuse the table's column index for single-column equi keys and its
+// composite index for multi-key ones instead of rebuilding a hash table
+// per execution; otherwise they hash the smaller side (holding their input
+// until they know which that is), with a nested-loop fallback for
+// non-equi conditions. Ordered output with a sorted-index order streams
+// in index order with early cutoff under LIMIT (stream.go). Closures
+// evaluate directly against flat rows — no per-row environment
+// allocation, no name lookups — and compact binary row keys
+// (sqltypes.AppendKey) back every dedup, grouping, and join-matching
+// structure. Compiled plans are cached per executor, first by statement
+// identity and then by canonical SQL (sqlnorm.CacheKey), so re-executing
+// a statement — or a textually identical candidate arriving as a distinct
+// AST from another beam — skips straight to execution; a plan compiled
+// before a copy-on-write swap replaced a table it reads is recompiled.
 // Statements must not be mutated between executions through the same
 // executor.
 //
@@ -44,7 +54,7 @@
 // statement — or a correlated subquery evaluated per outer row, or an
 // uncorrelated one on its single run — never starts against a dead
 // context) and then polled every cancelCheckInterval rows inside the
-// scan-filter, join, and projection inner loops, so even a single
+// base-scan, join-stage and group-output loops, so even a single
 // pathological cross join returns within a bounded number of row visits
 // of the cancellation. Exec is ExecContext
 // with a background context — the paper's sequential loop and the many
@@ -79,7 +89,8 @@ type Executor struct {
 	// Plans are costed against the statistics visible at first compile and
 	// deliberately not re-costed as the database grows; callers that want
 	// fresh plans after bulk loads use a fresh executor (the serving layer
-	// already creates one per snapshot).
+	// already creates one per snapshot). A plan is recompiled, though, when
+	// a copy-on-write swap replaced a relation it binds (see compiled).
 	plans      map[*sqlast.SelectStmt]*program
 	plansByKey map[string]*program
 
@@ -146,7 +157,10 @@ func (cc *cancelCheck) poll() error {
 
 // Exec compiles the statement (or reuses its cached plan) and returns its
 // result relation. It never aborts early; callers that need cancellation
-// or timeouts use ExecContext.
+// or timeouts use ExecContext. The result's rows are the caller's, but
+// its Columns slice is shared with the compiled plan and every other
+// result of the statement, so it must not be mutated (Relation.Clone
+// copies it).
 func (ex *Executor) Exec(stmt *sqlast.SelectStmt) (*sqltypes.Relation, error) {
 	//vetcycle:allow ctxflow -- documented one-shot wrapper over ExecContext
 	return ex.ExecContext(context.Background(), stmt)
@@ -171,28 +185,37 @@ func (ex *Executor) ExecContext(ctx context.Context, stmt *sqlast.SelectStmt) (*
 	return ex.run(ctx, prog)
 }
 
+// compiled returns the cached program for stmt, compiling it on a miss. A
+// cached program is current only while the database's table generation is
+// the one it was compiled at: plans bind base-table relations directly,
+// and a copy-on-write swap (the first write after a Snapshot) replaces a
+// relation, so a plan from an older generation is recompiled instead of
+// reading the replaced relation. In-place inserts keep the generation, and
+// the plans.
 func (ex *Executor) compiled(stmt *sqlast.SelectStmt) (*program, error) {
+	gen := ex.db.TableGen()
 	ex.mu.RLock()
-	if p, ok := ex.plans[stmt]; ok {
+	if p, ok := ex.plans[stmt]; ok && p.gen == gen {
 		ex.mu.RUnlock()
 		return p, nil
 	}
 	key := sqlnorm.CacheKey(stmt)
 	p, ok := ex.plansByKey[key]
 	ex.mu.RUnlock()
-	if ok {
+	if ok && p.gen == gen {
 		ex.storePlan(stmt, key, p)
 		return p, nil
 	}
 	// Compile outside the lock; concurrent compilations of the same
 	// statement are idempotent (programs are interchangeable), the last
-	// store wins.
+	// store wins. The generation is read before compiling, so a swap
+	// racing the compilation leaves the plan marked stale.
 	c := &compiler{ex: ex}
 	p, err := c.compileStmt(stmt, nil)
 	if err != nil {
 		return nil, err
 	}
-	p.nodes, p.memos = c.nodes, len(c.memoized)
+	p.nodes, p.memos, p.gen = c.nodes, len(c.memoized), gen
 	ex.storePlan(stmt, key, p)
 	return p, nil
 }
@@ -318,49 +341,62 @@ func combine(l, r *sqltypes.Relation, op sqlast.CompoundOp) (*sqltypes.Relation,
 	return out, nil
 }
 
+// runCore executes one compiled SELECT core. Apart from the ordered index
+// walks of runStream, every core runs as one push pipeline (pipe): frame
+// rows stream from the base scan through the join stages into the
+// post-join filters, and each surviving row goes either straight into the
+// projection or, for a grouped core, into the hash aggregate, which
+// projects once per group after the input ends. No joined row, group row
+// list or per-evaluation aggregate value list is built.
 func (ex *Executor) runCore(ctx context.Context, cc *compiledCore, outer *rowCtx, depth int) (*sqltypes.Relation, error) {
 	if cc.stream != nil {
 		return ex.runStream(ctx, cc, outer, depth)
 	}
-	rows, owned, err := ex.buildFrom(ctx, cc, outer, depth)
-	if err != nil {
+	r := &coreRun{cc: cc, rc: rowCtx{parent: outer, depth: depth, qctx: ctx}}
+	if cc.grouped {
+		r.agg = newHashAgg(cc)
+	}
+	if err := ex.pipe(ctx, r); err != nil {
 		return nil, err
 	}
-	if len(cc.filters) > 0 {
-		kept := rows[:0]
-		if !owned {
-			kept = rows[:0:0]
-		}
-		cancel := cancelCheck{ctx: ctx}
-		rc := &rowCtx{parent: outer, depth: depth, qctx: ctx}
-		for _, row := range rows {
-			if err := cancel.poll(); err != nil {
-				return nil, err
-			}
-			rc.row = row
-			ok, err := truthyAll(cc.filters, rc)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				kept = append(kept, row)
-			}
-		}
-		rows = kept
-		if ex.trace != nil {
-			ex.trace.addRows(cc.filterID, int64(len(rows)))
+	if r.agg != nil {
+		if err := r.agg.emit(&r.rc, &r.out); err != nil {
+			return nil, err
 		}
 	}
-	var result *sqltypes.Relation
-	if len(cc.groupBy) > 0 || cc.hasAgg {
-		result, err = ex.projectGrouped(ctx, cc, rows, outer, depth)
-	} else {
-		result, err = ex.projectPlain(ctx, cc, rows, outer, depth)
-	}
-	if err == nil && ex.trace != nil {
+	result := r.out.finish(cc)
+	if ex.trace != nil {
+		ex.trace.addRows(cc.filterID, r.kept)
 		ex.trace.addRows(cc.id, int64(len(result.Rows)))
 	}
-	return result, err
+	return result, nil
+}
+
+// coreRun is one pipelined execution of a core: the row context every
+// closure of the core evaluates in, and the sink the pipeline feeds.
+type coreRun struct {
+	cc   *compiledCore
+	rc   rowCtx
+	out  projection
+	agg  *hashAgg // grouped cores only
+	kept int64    // rows that passed the post-join filters
+}
+
+// consume is the pipeline's sink: the post-join filters, then projection
+// or accumulation.
+func (r *coreRun) consume(row sqltypes.Row) error {
+	r.rc.row = row
+	if len(r.cc.filters) > 0 {
+		ok, err := truthyAll(r.cc.filters, &r.rc)
+		if err != nil || !ok {
+			return err
+		}
+		r.kept++
+	}
+	if r.agg != nil {
+		return r.agg.add(&r.rc)
+	}
+	return r.out.add(r.cc, &r.rc)
 }
 
 // truthyAll reports whether every conjunct evaluates truthy (tri-state AND
@@ -379,257 +415,322 @@ func truthyAll(filters []compiledExpr, ctx *rowCtx) (bool, error) {
 	return true, nil
 }
 
-// buildFrom produces the frame rows: the base scan (filtered by any
-// pushed-down conjuncts) joined with each subsequent table. The returned
-// flag reports whether the slice is owned by the caller (safe to filter in
-// place) or shared with the storage layer.
-func (ex *Executor) buildFrom(ctx context.Context, cc *compiledCore, outer *rowCtx, depth int) ([]sqltypes.Row, bool, error) {
+// rowSink consumes one frame row. The row is valid only for the call:
+// join stages overwrite their scratch frame for every pair, so a sink that
+// keeps a row copies it.
+type rowSink func(row sqltypes.Row) error
+
+// pipe streams a core's frame rows into r.consume: every base-scan row
+// that passes the pushed-down conjuncts (evaluated in the core's row
+// context) is pushed through the join stages, the last of which feeds the
+// sink; then each stage is flushed in FROM order. The right-hand inputs
+// are all read, in FROM order, before the first row flows.
+func (ex *Executor) pipe(ctx context.Context, r *coreRun) error {
+	cc, rc := r.cc, &r.rc
+	outer, depth := rc.parent, rc.depth
 	if len(cc.scans) == 0 {
 		// SELECT without FROM evaluates items once over an empty row.
-		return []sqltypes.Row{{}}, true, nil
+		return r.consume(sqltypes.Row{})
 	}
-	rows, owned, err := cc.scans[0].rows(ctx, ex, outer, depth)
+	base, err := cc.scans[0].rows(ctx, ex, outer, depth)
 	if err != nil {
-		return nil, false, err
+		return err
 	}
-	if len(cc.baseFilters) > 0 {
-		kept := rows[:0]
-		if !owned {
-			kept = rows[:0:0]
-		}
-		cancel := cancelCheck{ctx: ctx}
-		rc := &rowCtx{parent: outer, depth: depth, qctx: ctx}
-		for _, row := range rows {
-			if err := cancel.poll(); err != nil {
-				return nil, false, err
+	if r.agg == nil && len(cc.joins) == 0 && len(cc.baseFilters) == 0 && len(cc.filters) == 0 {
+		// Every base row becomes an output row: size the output once.
+		r.out.rows = make([]sqltypes.Row, 0, len(base))
+	}
+	var stages []joinStage
+	if len(cc.joins) > 0 {
+		stages = make([]joinStage, len(cc.joins))
+		accW := cc.scans[0].width
+		for i, jp := range cc.joins {
+			next := cc.scans[i+1]
+			right, err := next.rows(ctx, ex, outer, depth)
+			if err != nil {
+				return err
 			}
+			stages[i].init(ctx, ex, jp, next, right, accW, outer, depth)
+			accW += next.width
+		}
+		// Base and derived-table rows outlive the push; frames do not.
+		stages[0].stable = true
+		last := len(stages) - 1
+		for i := range last {
+			stages[i].emit = stages[i+1].push
+		}
+		stages[last].emit = r.consume
+	}
+	cancel := cancelCheck{ctx: ctx}
+	for _, row := range base {
+		if err := cancel.poll(); err != nil {
+			return err
+		}
+		if len(cc.baseFilters) > 0 {
 			rc.row = row
 			ok, err := truthyAll(cc.baseFilters, rc)
 			if err != nil {
-				return nil, false, err
+				return err
 			}
-			if ok {
-				kept = append(kept, row)
-			}
-		}
-		rows, owned = kept, true
-	}
-	accW := cc.scans[0].width
-	for i, jp := range cc.joins {
-		next := cc.scans[i+1]
-		right, _, err := next.rows(ctx, ex, outer, depth)
-		if err != nil {
-			return nil, false, err
-		}
-		rows, err = ex.execJoin(ctx, rows, accW, next, right, jp, outer, depth)
-		if err != nil {
-			return nil, false, err
-		}
-		accW += next.width
-		owned = true
-	}
-	return rows, owned, nil
-}
-
-// execJoin combines the accumulated frame rows with one table. With a
-// single equi key against a whole base table it probes the table's column
-// index — the prebuilt equivalent of the hash table the generic path
-// rebuilds per execution. With equi keys otherwise it runs a streaming
-// hash join, building the hash table on the smaller side; without keys it
-// falls back to a nested loop. All paths emit rows in identical order
-// (left-major, right rows in scan order) and null-extend unmatched left
-// rows inline for LEFT JOIN, matching rows by index — never by value — so
-// duplicate-valued rows cannot collide.
-func (ex *Executor) execJoin(ctx context.Context, acc []sqltypes.Row, accW int, next *tableScan, right []sqltypes.Row, jp *joinPlan, outer *rowCtx, depth int) (out []sqltypes.Row, err error) {
-	outW := accW + next.width
-	scratch := make(sqltypes.Row, outW)
-	rc := &rowCtx{parent: outer, row: scratch, depth: depth, qctx: ctx}
-	// One amortized cancellation counter covers every candidate pair
-	// (through tryPair) and every build-side row, so even an n×m nested
-	// loop observes cancellation within cancelCheckInterval pair visits.
-	cancel := cancelCheck{ctx: ctx}
-	var pairs int64
-	if ex.trace != nil {
-		defer func() {
-			if err == nil {
-				ex.trace.addRows(jp.id, int64(len(out)))
-				ex.trace.addPairs(jp.id, pairs)
-			}
-		}()
-	}
-
-	emit := func() {
-		combined := make(sqltypes.Row, outW)
-		copy(combined, scratch)
-		out = append(out, combined)
-	}
-	// tryPair evaluates the residual over scratch (left part already
-	// filled) and emits on success.
-	tryPair := func(rrow sqltypes.Row) (bool, error) {
-		pairs++
-		if err := cancel.poll(); err != nil {
-			return false, err
-		}
-		copy(scratch[accW:], rrow)
-		if len(jp.residual) > 0 {
-			ok, err := truthyAll(jp.residual, rc)
-			if err != nil || !ok {
-				return false, err
-			}
-		}
-		emit()
-		return true, nil
-	}
-	nullExtend := func() {
-		for i := accW; i < outW; i++ {
-			scratch[i] = sqltypes.Null()
-		}
-		emit()
-	}
-
-	if len(jp.eqAcc) == 0 {
-		// Nested loop: cross join, or arbitrary non-equi ON condition.
-		for _, lrow := range acc {
-			if err := cancel.poll(); err != nil {
-				return nil, err
-			}
-			copy(scratch, lrow)
-			matched := false
-			for _, rrow := range right {
-				ok, err := tryPair(rrow)
-				if err != nil {
-					return nil, err
-				}
-				matched = matched || ok
-			}
-			if jp.left && !matched {
-				nullExtend()
-			}
-		}
-		return out, nil
-	}
-
-	var buf []byte
-	if !ex.NoIndexes && next.sub == nil && next.probe == nil && next.rprobe == nil {
-		// The build side is a whole base table: reuse (or lazily build, once
-		// per database) its column index — or, for multi-key joins, its
-		// composite index over the exact key-column sequence — instead of
-		// hashing the table again on every execution. Index buckets hold
-		// row positions in scan order, so output order matches the generic
-		// paths, and buckets and probe keys share the Compare-consistent
-		// AppendCompareKey encoding the generic paths use, so the matched
-		// pairs are bit-identical too.
-		lookup := func() func([]byte) []int32 {
-			if len(jp.eqNew) == 1 {
-				return ex.db.Index(next.table, jp.eqNew[0]).Lookup
-			}
-			return ex.db.Composite(next.table, jp.eqNew).Lookup
-		}()
-		for _, lrow := range acc {
-			if err := cancel.poll(); err != nil {
-				return nil, err
-			}
-			copy(scratch, lrow)
-			matched := false
-			if key, ok := lrow.AppendCompareKeyCols(buf[:0], jp.eqAcc); ok {
-				buf = key
-				for _, ri := range lookup(key) {
-					hit, err := tryPair(right[ri])
-					if err != nil {
-						return nil, err
-					}
-					matched = matched || hit
-				}
-			}
-			if jp.left && !matched {
-				nullExtend()
-			}
-		}
-		return out, nil
-	}
-	if len(right) <= len(acc) {
-		// Build on the right side; probe with left rows in order.
-		ht := make(map[string][]int32, len(right))
-		for ri, rrow := range right {
-			if err := cancel.poll(); err != nil {
-				return nil, err
-			}
-			key, ok := joinKey(buf[:0], rrow, jp.eqNew)
 			if !ok {
 				continue
 			}
-			buf = key
-			ht[string(key)] = append(ht[string(key)], int32(ri))
 		}
-		for _, lrow := range acc {
-			if err := cancel.poll(); err != nil {
-				return nil, err
-			}
-			copy(scratch, lrow)
-			matched := false
-			if key, ok := joinKey(buf[:0], lrow, jp.eqAcc); ok {
-				buf = key
-				for _, ri := range ht[string(key)] {
-					hit, err := tryPair(right[ri])
-					if err != nil {
-						return nil, err
-					}
-					matched = matched || hit
-				}
-			}
-			if jp.left && !matched {
-				nullExtend()
-			}
+		if stages != nil {
+			err = stages[0].push(row)
+		} else {
+			err = r.consume(row)
 		}
-		return out, nil
+		if err != nil {
+			return err
+		}
 	}
-
-	// Build on the (smaller) left side; a per-left match list restores the
-	// probe-left output order after scanning the right side once.
-	ht := make(map[string][]int32, len(acc))
-	for li, lrow := range acc {
-		if err := cancel.poll(); err != nil {
-			return nil, err
+	for i := range stages {
+		if err := stages[i].flush(); err != nil {
+			return err
 		}
-		key, ok := joinKey(buf[:0], lrow, jp.eqAcc)
+	}
+	if ex.trace != nil {
+		for i := range stages {
+			ex.trace.addRows(cc.joins[i].id, stages[i].rows)
+			ex.trace.addPairs(cc.joins[i].id, stages[i].pairs)
+		}
+	}
+	return nil
+}
+
+// joinStage joins every frame row pushed into it with one table and
+// pushes each combined row on through one scratch frame, overwritten per
+// pair. With equi keys against a whole base table it probes the table's
+// column index (its composite index for multi-key joins) — the prebuilt
+// equivalent of the hash table the generic path rebuilds per execution.
+// With equi keys otherwise it hashes the smaller side: the stage holds
+// its input until it has seen as many rows as the table has, then builds
+// on the table and streams; if the input ends first, flush builds on the
+// held rows and scans the table once. Without keys it runs a nested loop.
+// All paths emit rows in identical order (left-major, right rows in scan
+// order) and null-extend unmatched left rows inline for LEFT JOIN,
+// matching rows by index — never by value — so duplicate-valued rows
+// cannot collide.
+type joinStage struct {
+	jp      *joinPlan
+	right   []sqltypes.Row
+	accW    int
+	scratch sqltypes.Row
+	rc      rowCtx
+	emit    rowSink
+	// One amortized cancellation counter covers every left row, candidate
+	// pair and build-side row, so even an n×m nested loop observes
+	// cancellation within cancelCheckInterval visits.
+	cancel cancelCheck
+	// lookup probes a reused index; ht is the hash table built on the
+	// table; pending marks a hashed join still holding its input.
+	lookup  func([]byte) []int32
+	ht      map[string][]int32
+	pending bool
+	// stable reports that pushed rows outlive the push, so held rows are
+	// kept by reference; otherwise they are copied into arena, accW
+	// values each.
+	stable bool
+	held   []sqltypes.Row
+	arena  []sqltypes.Value
+	nheld  int
+	buf    []byte
+	// rows and pairs count emitted rows and candidate pairs for EXPLAIN.
+	rows, pairs int64
+}
+
+func (s *joinStage) init(ctx context.Context, ex *Executor, jp *joinPlan, next *tableScan, right []sqltypes.Row, accW int, outer *rowCtx, depth int) {
+	s.jp, s.right, s.accW = jp, right, accW
+	s.scratch = make(sqltypes.Row, accW+next.width)
+	s.rc = rowCtx{parent: outer, row: s.scratch, depth: depth, qctx: ctx}
+	s.cancel = cancelCheck{ctx: ctx}
+	switch {
+	case len(jp.eqAcc) == 0:
+	case !ex.NoIndexes && next.sub == nil && next.probe == nil && next.rprobe == nil:
+		// The build side is a whole base table: reuse (or lazily build,
+		// once per database) its column or composite index. Index buckets
+		// hold row positions in scan order and share the Compare-consistent
+		// AppendCompareKey encoding of the hashed path, so the matched
+		// pairs and their order are bit-identical.
+		if len(jp.eqNew) == 1 {
+			s.lookup = ex.db.Index(next.table, jp.eqNew[0]).Lookup
+		} else {
+			s.lookup = ex.db.Composite(next.table, jp.eqNew).Lookup
+		}
+	default:
+		// An empty table is never larger than the input: probe its (empty)
+		// hash table from the first row.
+		s.pending = len(right) > 0
+	}
+}
+
+// push joins one input row, or holds it while a hashed join is still
+// choosing its build side.
+func (s *joinStage) push(lrow sqltypes.Row) error {
+	if !s.pending {
+		return s.probe(lrow)
+	}
+	if s.stable {
+		s.held = append(s.held, lrow)
+	} else {
+		s.arena = append(s.arena, lrow...)
+	}
+	s.nheld++
+	if s.nheld < len(s.right) {
+		return nil
+	}
+	// The input is at least as large as the table: build on the table and
+	// replay the held rows in order.
+	s.pending = false
+	s.ht = make(map[string][]int32, len(s.right))
+	for ri, rrow := range s.right {
+		if err := s.cancel.poll(); err != nil {
+			return err
+		}
+		key, ok := joinKey(s.buf[:0], rrow, s.jp.eqNew)
 		if !ok {
 			continue
 		}
-		buf = key
+		s.buf = key
+		s.ht[string(key)] = append(s.ht[string(key)], int32(ri))
+	}
+	for i := 0; i < s.nheld; i++ {
+		if err := s.probe(s.heldRow(i)); err != nil {
+			return err
+		}
+	}
+	s.held, s.arena, s.nheld = nil, nil, 0
+	return nil
+}
+
+func (s *joinStage) heldRow(i int) sqltypes.Row {
+	if s.stable {
+		return s.held[i]
+	}
+	return s.arena[i*s.accW : (i+1)*s.accW]
+}
+
+// probe emits every match of one input row: the whole table for a nested
+// loop, else the bucket of its key in the reused index or the table's
+// hash table.
+func (s *joinStage) probe(lrow sqltypes.Row) error {
+	if err := s.cancel.poll(); err != nil {
+		return err
+	}
+	copy(s.scratch, lrow)
+	matched := false
+	if len(s.jp.eqAcc) == 0 {
+		for _, rrow := range s.right {
+			hit, err := s.tryPair(rrow)
+			if err != nil {
+				return err
+			}
+			matched = matched || hit
+		}
+	} else if key, ok := joinKey(s.buf[:0], lrow, s.jp.eqAcc); ok {
+		s.buf = key
+		var ids []int32
+		if s.lookup != nil {
+			ids = s.lookup(key)
+		} else {
+			ids = s.ht[string(key)]
+		}
+		for _, ri := range ids {
+			hit, err := s.tryPair(s.right[ri])
+			if err != nil {
+				return err
+			}
+			matched = matched || hit
+		}
+	}
+	if s.jp.left && !matched {
+		return s.nullExtend()
+	}
+	return nil
+}
+
+// tryPair evaluates the residual over the scratch frame (left part already
+// filled) and emits on success.
+func (s *joinStage) tryPair(rrow sqltypes.Row) (bool, error) {
+	s.pairs++
+	if err := s.cancel.poll(); err != nil {
+		return false, err
+	}
+	copy(s.scratch[s.accW:], rrow)
+	if len(s.jp.residual) > 0 {
+		ok, err := truthyAll(s.jp.residual, &s.rc)
+		if err != nil || !ok {
+			return false, err
+		}
+	}
+	s.rows++
+	return true, s.emit(s.scratch)
+}
+
+func (s *joinStage) nullExtend() error {
+	for i := s.accW; i < len(s.scratch); i++ {
+		s.scratch[i] = sqltypes.Null()
+	}
+	s.rows++
+	return s.emit(s.scratch)
+}
+
+// flush finishes a hashed join whose whole input was smaller than its
+// table: it builds on the held rows, scans the table once, and replays
+// the held rows in order, each with its matches in table order.
+func (s *joinStage) flush() error {
+	if !s.pending {
+		return nil
+	}
+	s.pending = false
+	n := s.nheld
+	ht := make(map[string][]int32, n)
+	for li := 0; li < n; li++ {
+		if err := s.cancel.poll(); err != nil {
+			return err
+		}
+		key, ok := joinKey(s.buf[:0], s.heldRow(li), s.jp.eqAcc)
+		if !ok {
+			continue
+		}
+		s.buf = key
 		ht[string(key)] = append(ht[string(key)], int32(li))
 	}
-	matches := make([][]int32, len(acc))
-	for ri, rrow := range right {
-		if err := cancel.poll(); err != nil {
-			return nil, err
+	matches := make([][]int32, n)
+	for ri, rrow := range s.right {
+		if err := s.cancel.poll(); err != nil {
+			return err
 		}
-		key, ok := joinKey(buf[:0], rrow, jp.eqNew)
+		key, ok := joinKey(s.buf[:0], rrow, s.jp.eqNew)
 		if !ok {
 			continue
 		}
-		buf = key
+		s.buf = key
 		for _, li := range ht[string(key)] {
 			matches[li] = append(matches[li], int32(ri))
 		}
 	}
-	for li, lrow := range acc {
-		if err := cancel.poll(); err != nil {
-			return nil, err
+	for li := 0; li < n; li++ {
+		if err := s.cancel.poll(); err != nil {
+			return err
 		}
-		copy(scratch, lrow)
+		copy(s.scratch, s.heldRow(li))
 		matched := false
 		for _, ri := range matches[li] {
-			hit, err := tryPair(right[ri])
+			hit, err := s.tryPair(s.right[ri])
 			if err != nil {
-				return nil, err
+				return err
 			}
 			matched = matched || hit
 		}
-		if jp.left && !matched {
-			nullExtend()
+		if s.jp.left && !matched {
+			if err := s.nullExtend(); err != nil {
+				return err
+			}
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // joinKey encodes the equi-key columns of a row into dst. A NULL in any

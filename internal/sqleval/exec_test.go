@@ -1,6 +1,7 @@
 package sqleval
 
 import (
+	"fmt"
 	"testing"
 
 	"cyclesql/internal/schema"
@@ -166,6 +167,23 @@ func TestExecOrderLimitOffset(t *testing.T) {
 	rel = run(t, db, "SELECT name FROM Aircraft ORDER BY 1 LIMIT 1")
 	if rel.Rows[0][0].Text() != "Airbus A340-300" {
 		t.Fatalf("positional order: %v", rel.Rows)
+	}
+}
+
+// TestExecHugeLimitOffset pins LIMIT and OFFSET near the top of the int64
+// range on every leg: their sum must neither overflow into a panic nor
+// cut a streamed index walk short.
+func TestExecHugeLimitOffset(t *testing.T) {
+	db := flightDB(t)
+	for sql, want := range map[string]int{
+		"SELECT flno FROM Flight LIMIT 9223372036854775807 OFFSET 1":                                     9,
+		"SELECT flno FROM Flight ORDER BY flno LIMIT 9223372036854775807 OFFSET 1":                       9,
+		"SELECT flno FROM Flight ORDER BY origin DESC LIMIT 9223372036854775807 OFFSET 2":                8,
+		"SELECT origin FROM Flight GROUP BY origin LIMIT 9223372036854775807 OFFSET 9223372036854775807": 0,
+	} {
+		if rel := runBoth(t, db, sql); rel.NumRows() != want {
+			t.Errorf("%s: %d rows, want %d", sql, rel.NumRows(), want)
+		}
 	}
 }
 
@@ -341,6 +359,79 @@ func TestExecInList(t *testing.T) {
 	}
 	if v := single(t, db, "SELECT count(*) FROM Aircraft WHERE aid NOT IN (1, 3, 5)"); v.Int() != 7 {
 		t.Fatalf("not in list = %v", v)
+	}
+}
+
+// TestExecAggregateContexts pins the accumulator aggregation's
+// semantics: where aggregates may appear, what empty inputs produce, and
+// the runtime error an aggregate outside a grouped context still reports.
+func TestExecAggregateContexts(t *testing.T) {
+	db := flightDB(t)
+	for _, tc := range []struct {
+		name, sql, want, err string
+	}{
+		{name: "empty input without GROUP BY",
+			sql:  "SELECT count(*), count(name), sum(distance), avg(distance), min(name), max(aid) FROM Aircraft WHERE distance > 100000",
+			want: "[[0 0 NULL NULL NULL NULL]]"},
+		{name: "empty input with GROUP BY",
+			sql:  "SELECT name, count(*) FROM Aircraft WHERE distance > 100000 GROUP BY name",
+			want: "[]"},
+		{name: "HAVING-only aggregate",
+			sql:  "SELECT origin FROM Flight GROUP BY origin HAVING count(*) > 1",
+			want: "[[Los Angeles] [Chicago]]"},
+		{name: "ORDER BY aggregate not in SELECT",
+			sql:  "SELECT origin FROM Flight GROUP BY origin ORDER BY count(*)",
+			want: "[[Chicago] [Los Angeles]]"},
+		{name: "one aggregate in SELECT, HAVING and ORDER BY",
+			sql:  "SELECT aid, max(flno) FROM Flight GROUP BY aid HAVING max(flno) > 40 ORDER BY max(flno) DESC",
+			want: "[[6 387] [2 346] [1 99] [9 76] [10 68]]"},
+		{name: "aggregate of a correlated subquery",
+			sql:  "SELECT sum((SELECT count(*) FROM Flight AS F WHERE F.aid = A.aid)), max((SELECT count(*) FROM Flight AS F WHERE F.aid = A.aid)) FROM Aircraft AS A",
+			want: "[[10 2]]"},
+		{name: "grouped aggregate of a correlated subquery",
+			sql:  "SELECT A.distance > 5000, sum((SELECT count(*) FROM Flight AS F WHERE F.aid = A.aid)) FROM Aircraft AS A GROUP BY A.distance > 5000",
+			want: "[[1 5] [0 5]]"},
+		{name: "non-aggregate items read the group's first joined row",
+			sql:  "SELECT T2.name, T1.flno, count(*) FROM Flight AS T1 JOIN Aircraft AS T2 ON T1.aid = T2.aid GROUP BY T2.name HAVING count(*) > 1",
+			want: "[[Lockheed L1011 2 2] [Airbus A340-300 7 2]]"},
+		{name: "empty group of an erroring argument never reads it",
+			sql:  "SELECT sum(count(*)) FROM Aircraft WHERE aid > 100",
+			want: "[[NULL]]"},
+		{name: "aggregate in WHERE",
+			sql: "SELECT name FROM Aircraft WHERE count(*) > 1",
+			err: "sqleval: aggregate COUNT outside grouped context"},
+		{name: "nested aggregate",
+			sql: "SELECT sum(count(*)) FROM Aircraft",
+			err: "sqleval: aggregate COUNT outside grouped context"},
+		{name: "aggregate in GROUP BY",
+			sql: "SELECT origin FROM Flight GROUP BY max(flno)",
+			err: "sqleval: aggregate MAX outside grouped context"},
+		{name: "aggregate in ON",
+			sql: "SELECT T1.flno FROM Flight AS T1 JOIN Aircraft AS T2 ON T1.aid = T2.aid AND min(T2.distance) > 0",
+			err: "sqleval: aggregate MIN outside grouped context"},
+		{name: "ORDER BY aggregate of an ungrouped core",
+			sql: "SELECT name FROM Aircraft ORDER BY avg(distance)",
+			err: "sqleval: aggregate AVG outside grouped context"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stmt, err := sqlparse.Parse(tc.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rel, err := New(db).Exec(stmt)
+			if tc.err != "" {
+				if err == nil || err.Error() != tc.err {
+					t.Fatalf("error = %v, want %q", err, tc.err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprint(rel.Rows); got != tc.want {
+				t.Fatalf("rows = %s, want %s", got, tc.want)
+			}
+		})
 	}
 }
 

@@ -438,7 +438,7 @@ func (c *compiler) compileIn(x *sqlast.InExpr, sc *scope) (compiledExpr, error) 
 // firstColumn returns the first value of each row of rel: the members of
 // an IN subquery.
 func firstColumn(rel *sqltypes.Relation) []sqltypes.Value {
-	var vals []sqltypes.Value
+	vals := make([]sqltypes.Value, 0, len(rel.Rows))
 	for _, row := range rel.Rows {
 		if len(row) > 0 {
 			vals = append(vals, row[0])
@@ -574,105 +574,6 @@ func (c *compiler) compileFunc(x *sqlast.FuncCall, sc *scope) (compiledExpr, err
 	default:
 		return nil, fmt.Errorf("sqleval: unknown function %s", x.Name)
 	}
-}
-
-// compileAggregate lowers an aggregate call. The closure errors outside a
-// grouped context (ctx.grp == nil), preserving the legacy runtime check.
-func (c *compiler) compileAggregate(x *sqlast.FuncCall, sc *scope) (compiledExpr, error) {
-	name := x.Name
-	if x.Star {
-		if name != "COUNT" {
-			return nil, fmt.Errorf("sqleval: %s(*) is not valid", name)
-		}
-		return func(ctx *rowCtx) (sqltypes.Value, error) {
-			if ctx.grp == nil {
-				return sqltypes.Value{}, fmt.Errorf("sqleval: aggregate COUNT outside grouped context")
-			}
-			return sqltypes.NewInt(int64(len(ctx.grp.rows))), nil
-		}, nil
-	}
-	if len(x.Args) != 1 {
-		return nil, fmt.Errorf("sqleval: aggregate %s expects 1 argument", name)
-	}
-	argFn, err := c.compileExpr(x.Args[0], sc)
-	if err != nil {
-		return nil, err
-	}
-	distinct := x.Distinct
-	return func(ctx *rowCtx) (sqltypes.Value, error) {
-		if ctx.grp == nil {
-			return sqltypes.Value{}, fmt.Errorf("sqleval: aggregate %s outside grouped context", name)
-		}
-		var vals []sqltypes.Value
-		var seen map[string]struct{}
-		var buf []byte
-		if distinct {
-			seen = make(map[string]struct{})
-		}
-		sub := &rowCtx{parent: ctx.parent, depth: ctx.depth, qctx: ctx.qctx}
-		for _, row := range ctx.grp.rows {
-			sub.row = row
-			v, err := argFn(sub)
-			if err != nil {
-				return sqltypes.Value{}, err
-			}
-			if v.IsNull() {
-				continue
-			}
-			if distinct {
-				buf = v.AppendKey(buf[:0])
-				if _, dup := seen[string(buf)]; dup {
-					continue
-				}
-				seen[string(buf)] = struct{}{}
-			}
-			vals = append(vals, v)
-		}
-		return foldAggregate(name, vals)
-	}, nil
-}
-
-func foldAggregate(name string, vals []sqltypes.Value) (sqltypes.Value, error) {
-	switch name {
-	case "COUNT":
-		return sqltypes.NewInt(int64(len(vals))), nil
-	case "SUM", "AVG":
-		if len(vals) == 0 {
-			return sqltypes.Null(), nil
-		}
-		sum := 0.0
-		allInt := true
-		for _, v := range vals {
-			f, ok := v.AsFloat()
-			if !ok {
-				return sqltypes.Null(), nil
-			}
-			if v.Kind() != sqltypes.KindInt {
-				allInt = false
-			}
-			sum += f
-		}
-		if name == "SUM" {
-			if allInt {
-				return sqltypes.NewInt(int64(sum)), nil
-			}
-			return sqltypes.NewFloat(sum), nil
-		}
-		return sqltypes.NewFloat(sum / float64(len(vals))), nil
-	case "MIN", "MAX":
-		if len(vals) == 0 {
-			return sqltypes.Null(), nil
-		}
-		best := vals[0]
-		for _, v := range vals[1:] {
-			c := sqltypes.Compare(v, best)
-			if (name == "MIN" && c < 0) || (name == "MAX" && c > 0) {
-				best = v
-			}
-		}
-		return best, nil
-	}
-	return sqltypes.Value{}, fmt.Errorf("sqleval: unknown aggregate %s", name)
 }
 
 // likeMatch implements SQL LIKE with % and _ wildcards (case folded by the

@@ -1,8 +1,10 @@
 package sqleval
 
 import (
+	"math/rand"
 	"testing"
 
+	"cyclesql/internal/sqlast"
 	"cyclesql/internal/sqlparse"
 	"cyclesql/internal/sqltypes"
 )
@@ -147,5 +149,107 @@ func TestPlanCacheSharedAcrossIdenticalASTs(t *testing.T) {
 	}
 	if textCase := parse("SELECT flno FROM Flight WHERE origin = 'CHICAGO' AND aid > 2"); textCase == base {
 		t.Fatal("text literal case is semantic and must not share a plan")
+	}
+}
+
+// TestCachedPlanAfterCopyOnWrite pins plan currency across a copy-on-write
+// swap: after a Snapshot, the next insert replaces the table's relation,
+// and plans an executor cached before must recompile instead of reading
+// the replaced relation. A stale count plan would miss the new row; a
+// stale probe plan would index the old relation with positions from the
+// new one's index.
+func TestCachedPlanAfterCopyOnWrite(t *testing.T) {
+	db := flightDB(t)
+	ex := New(db)
+	stmts := []*sqlast.SelectStmt{
+		sqlparse.MustParse("SELECT count(*) FROM Flight"),
+		sqlparse.MustParse("SELECT flno FROM Flight WHERE aid = 9"),
+	}
+	for _, stmt := range stmts {
+		if _, err := ex.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.Snapshot()
+	db.MustInsert("Flight", sqltypes.NewInt(600), sqltypes.NewInt(9), sqltypes.NewText("Chicago"), sqltypes.NewText("Tokyo"))
+	for _, stmt := range stmts {
+		got, err := ex.Exec(stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := New(db).Exec(stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !relEqual(got, want) {
+			t.Errorf("%s: cached plan read the replaced relation:\n%s\nfresh executor:\n%s", stmt.SQL(), got, want)
+		}
+	}
+	if n := single(t, db, "SELECT count(*) FROM Flight"); n.Int() != 11 {
+		t.Fatalf("count after insert = %v, want 11", n)
+	}
+}
+
+// TestCachedPlansUnderSnapshotInterleaving runs a seeded interleaving of
+// inserts into both flight tables and snapshots. After every step, one
+// long-lived executor on the live store must agree with a fresh one on a
+// scan, a point probe, a range probe, a reused-index join and a grouped
+// join, and one long-lived executor per snapshot must keep returning what
+// it returned when the snapshot was pinned.
+func TestCachedPlansUnderSnapshotInterleaving(t *testing.T) {
+	db := flightDB(t)
+	var stmts []*sqlast.SelectStmt
+	for _, sql := range []string{
+		"SELECT count(*) FROM Flight",
+		"SELECT flno FROM Flight WHERE aid = 3",
+		"SELECT flno, origin FROM Flight WHERE flno > 50",
+		"SELECT T1.flno, T2.name FROM Flight AS T1 JOIN Aircraft AS T2 ON T1.aid = T2.aid",
+		"SELECT T2.name, count(*) FROM Flight AS T1 JOIN Aircraft AS T2 ON T1.aid = T2.aid GROUP BY T2.name",
+	} {
+		stmts = append(stmts, sqlparse.MustParse(sql))
+	}
+	type pin struct {
+		ex   *Executor
+		want []*sqltypes.Relation
+	}
+	run := func(ex *Executor) []*sqltypes.Relation {
+		t.Helper()
+		out := make([]*sqltypes.Relation, len(stmts))
+		for i, stmt := range stmts {
+			rel, err := ex.Exec(stmt)
+			if err != nil {
+				t.Fatalf("%s: %v", stmt.SQL(), err)
+			}
+			out[i] = rel
+		}
+		return out
+	}
+	live := New(db)
+	var pins []pin
+	rng := rand.New(rand.NewSource(3))
+	for step := 0; step < 60; step++ {
+		switch rng.Intn(4) {
+		case 0:
+			view := New(db.Snapshot().DB())
+			pins = append(pins, pin{ex: view, want: run(view)})
+		case 1:
+			db.MustInsert("Aircraft", sqltypes.NewInt(int64(100+step)), sqltypes.NewText("Extra"), sqltypes.NewInt(int64(step)))
+		default:
+			db.MustInsert("Flight", sqltypes.NewInt(int64(1000+step)), sqltypes.NewInt(int64(1+rng.Intn(12))),
+				sqltypes.NewText("Chicago"), sqltypes.NewText("Tokyo"))
+		}
+		got, want := run(live), run(New(db))
+		for i := range stmts {
+			if !relEqual(got[i], want[i]) {
+				t.Fatalf("step %d, %s: cached plan diverged from a fresh executor:\n%s\nfresh:\n%s", step, stmts[i].SQL(), got[i], want[i])
+			}
+		}
+		for pi, p := range pins {
+			for i, rel := range run(p.ex) {
+				if !relEqual(rel, p.want[i]) {
+					t.Fatalf("step %d, snapshot %d, %s: pinned result moved", step, pi, stmts[i].SQL())
+				}
+			}
+		}
 	}
 }

@@ -1,179 +1,132 @@
 package sqleval
 
 import (
-	"context"
 	"sort"
 
 	"cyclesql/internal/sqltypes"
 )
 
-// record pairs a projected output row with its ORDER BY sort keys.
-type record struct {
-	proj sqltypes.Row
-	keys sqltypes.Row
+// projection collects a core's output rows: the projected items of every
+// row (plain cores) or group (grouped cores) that reaches it, plus — only
+// when some ORDER BY key is not a projected column — the evaluated sort
+// keys, parallel to rows.
+type projection struct {
+	rows []sqltypes.Row
+	keys []sqltypes.Row
 }
 
-func (ex *Executor) projectPlain(ctx context.Context, cc *compiledCore, rows []sqltypes.Row, outer *rowCtx, depth int) (*sqltypes.Relation, error) {
-	records := make([]record, 0, len(rows))
-	cancel := cancelCheck{ctx: ctx}
-	rc := &rowCtx{parent: outer, depth: depth, qctx: ctx}
-	for _, row := range rows {
-		if err := cancel.poll(); err != nil {
-			return nil, err
-		}
-		rc.row = row
-		rec, err := projectRecord(cc, rc)
-		if err != nil {
-			return nil, err
-		}
-		records = append(records, rec)
-	}
-	return finalize(cc, records)
-}
-
-func (ex *Executor) projectGrouped(ctx context.Context, cc *compiledCore, rows []sqltypes.Row, outer *rowCtx, depth int) (*sqltypes.Relation, error) {
-	cancel := cancelCheck{ctx: ctx}
-	// Partition rows into groups, keyed by the binary encoding of the
-	// GROUP BY values; insertion order is preserved.
-	var groups []groupRows
-	if len(cc.groupBy) == 0 {
-		groups = []groupRows{{rows: rows}}
-	} else {
-		idx := make(map[string]int)
-		rc := &rowCtx{parent: outer, depth: depth, qctx: ctx}
-		var buf []byte
-		for _, row := range rows {
-			if err := cancel.poll(); err != nil {
-				return nil, err
-			}
-			rc.row = row
-			buf = buf[:0]
-			for _, fn := range cc.groupBy {
-				v, err := fn(rc)
-				if err != nil {
-					return nil, err
-				}
-				buf = v.AppendKey(buf)
-			}
-			gi, ok := idx[string(buf)]
-			if !ok {
-				gi = len(groups)
-				idx[string(buf)] = gi
-				groups = append(groups, groupRows{})
-			}
-			groups[gi].rows = append(groups[gi].rows, row)
-		}
-	}
-	records := make([]record, 0, len(groups))
-	rc := &rowCtx{parent: outer, depth: depth, qctx: ctx}
-	for gi := range groups {
-		if err := cancel.poll(); err != nil {
-			return nil, err
-		}
-		g := &groups[gi]
-		if len(g.rows) == 0 {
-			// Empty input with aggregates: a single all-NULL pseudo row.
-			rc.row = make(sqltypes.Row, cc.width)
-		} else {
-			rc.row = g.rows[0]
-		}
-		rc.grp = g
-		if cc.having != nil {
-			v, err := cc.having(rc)
-			if err != nil {
-				return nil, err
-			}
-			if !v.Truthy() {
-				continue
-			}
-		}
-		rec, err := projectRecord(cc, rc)
-		if err != nil {
-			return nil, err
-		}
-		records = append(records, rec)
-	}
-	return finalize(cc, records)
-}
-
-// projectRecord evaluates the projection items and ORDER BY keys for one
-// row (or group) context.
-func projectRecord(cc *compiledCore, ctx *rowCtx) (record, error) {
+// add evaluates the projection items and the evaluated ORDER BY keys
+// against the current row (or group) of rc.
+func (p *projection) add(cc *compiledCore, rc *rowCtx) error {
 	proj := make(sqltypes.Row, len(cc.items))
 	for i, it := range cc.items {
-		v, err := it.fn(ctx)
+		v, err := it.fn(rc)
 		if err != nil {
-			return record{}, err
+			return err
 		}
 		proj[i] = v
 	}
-	var keys sqltypes.Row
-	if len(cc.orderKeys) > 0 {
-		keys = make(sqltypes.Row, len(cc.orderKeys))
+	if cc.evalKeys {
+		keys := make(sqltypes.Row, len(cc.orderKeys))
 		for i, ok := range cc.orderKeys {
 			if ok.projIdx >= 0 {
-				keys[i] = proj[ok.projIdx]
 				continue
 			}
-			v, err := ok.fn(ctx)
+			v, err := ok.fn(rc)
 			if err != nil {
-				return record{}, err
+				return err
 			}
 			keys[i] = v
 		}
+		p.keys = append(p.keys, keys)
 	}
-	return record{proj: proj, keys: keys}, nil
+	p.rows = append(p.rows, proj)
+	return nil
 }
 
-// finalize applies DISTINCT, ORDER BY, LIMIT/OFFSET and materializes the
-// output relation.
-func finalize(cc *compiledCore, records []record) (*sqltypes.Relation, error) {
+// key is the k-th ORDER BY key of output row i.
+func (p *projection) key(cc *compiledCore, i, k int) sqltypes.Value {
+	if idx := cc.orderKeys[k].projIdx; idx >= 0 {
+		return p.rows[i][idx]
+	}
+	return p.keys[i][k]
+}
+
+// ordering sorts a projection by its core's ORDER BY keys.
+type ordering struct {
+	p  *projection
+	cc *compiledCore
+}
+
+func (o ordering) Len() int { return len(o.p.rows) }
+
+func (o ordering) Less(i, j int) bool {
+	for k, key := range o.cc.orderKeys {
+		c := sqltypes.Compare(o.p.key(o.cc, i, k), o.p.key(o.cc, j, k))
+		if c == 0 {
+			continue
+		}
+		if key.desc {
+			return c > 0
+		}
+		return c < 0
+	}
+	return false
+}
+
+func (o ordering) Swap(i, j int) {
+	rows := o.p.rows
+	rows[i], rows[j] = rows[j], rows[i]
+	if keys := o.p.keys; keys != nil {
+		keys[i], keys[j] = keys[j], keys[i]
+	}
+}
+
+// finish applies DISTINCT, ORDER BY (a stable sort) and LIMIT/OFFSET and
+// returns the output relation.
+func (p *projection) finish(cc *compiledCore) *sqltypes.Relation {
 	core := cc.core
 	if core.Distinct {
-		seen := make(map[string]struct{}, len(records))
-		kept := records[:0:0]
+		seen := make(map[string]struct{}, len(p.rows))
+		kept := 0
 		var buf []byte
-		for _, r := range records {
-			buf = r.proj.AppendKey(buf[:0])
-			if _, dup := seen[string(buf)]; !dup {
-				seen[string(buf)] = struct{}{}
-				kept = append(kept, r)
+		for i, row := range p.rows {
+			buf = row.AppendKey(buf[:0])
+			if _, dup := seen[string(buf)]; dup {
+				continue
 			}
+			seen[string(buf)] = struct{}{}
+			p.rows[kept] = row
+			if p.keys != nil {
+				p.keys[kept] = p.keys[i]
+			}
+			kept++
 		}
-		records = kept
+		p.rows = p.rows[:kept]
+		if p.keys != nil {
+			p.keys = p.keys[:kept]
+		}
 	}
 	if len(cc.orderKeys) > 0 {
-		sort.SliceStable(records, func(i, j int) bool {
-			for k, o := range cc.orderKeys {
-				c := sqltypes.Compare(records[i].keys[k], records[j].keys[k])
-				if c == 0 {
-					continue
-				}
-				if o.desc {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
+		sort.Stable(ordering{p: p, cc: cc})
 	}
-	start, end := 0, len(records)
+	// LIMIT and OFFSET are non-negative but may be huge: clamp each to the
+	// rows that remain instead of adding them.
+	n := int64(len(p.rows))
+	start, end := int64(0), n
 	if core.Offset != nil {
-		start = int(*core.Offset)
-		if start > end {
-			start = end
-		}
+		start = min(*core.Offset, n)
 	}
 	if core.Limit != nil {
-		if lim := start + int(*core.Limit); lim < end {
-			end = lim
-		}
+		end = start + min(*core.Limit, n-start)
 	}
-	records = records[start:end]
-	out := sqltypes.NewRelation(cc.labels()...)
-	out.Rows = make([]sqltypes.Row, len(records))
-	for i, r := range records {
-		out.Rows[i] = r.proj
+	out := sqltypes.NewRelation(cc.cols...)
+	if start == 0 && end == n && p.rows != nil {
+		out.Rows = p.rows
+	} else {
+		// A window keeps only its own rows reachable.
+		out.Rows = make([]sqltypes.Row, end-start)
+		copy(out.Rows, p.rows[start:end])
 	}
-	return out, nil
+	return out
 }

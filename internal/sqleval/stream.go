@@ -2,6 +2,7 @@ package sqleval
 
 import (
 	"context"
+	"math"
 
 	"cyclesql/internal/sqltypes"
 )
@@ -31,16 +32,16 @@ func (ex *Executor) runStream(ctx context.Context, cc *compiledCore, outer *rowC
 	core := cc.core
 	target := -1 // output rows (offset included) after which the walk stops
 	if core.Limit != nil {
-		target = int(*core.Limit)
-		if core.Offset != nil {
-			target += int(*core.Offset)
+		// LIMIT and OFFSET are non-negative; saturate their sum instead of
+		// letting it overflow.
+		t := *core.Limit
+		if off := core.Offset; off != nil {
+			t = min(t, math.MaxInt64-*off) + *off
 		}
-		if target < 0 {
-			target = 0
-		}
+		target = int(min(t, math.MaxInt))
 	}
 
-	out := sqltypes.NewRelation(cc.labels()...)
+	out := sqltypes.NewRelation(cc.cols...)
 	cancel := cancelCheck{ctx: ctx}
 	rc := &rowCtx{parent: outer, depth: depth, qctx: ctx}
 	var visited int64

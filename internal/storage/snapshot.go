@@ -140,8 +140,9 @@ func copyIndexMap[K comparable, V any](m map[string]map[K]V) map[string]map[K]V 
 // written: if the table is pinned by a snapshot, it first swaps in a
 // copy — row headers only when deepRows is false (Insert appends, never
 // rewrites), full row clones when true (Mutate rewrites values in place)
-// — and drops the live store's indexes for the table, since the built
-// index objects are shared with the snapshot view. Must be called with
+// — drops the live store's indexes for the table, since the built index
+// objects are shared with the snapshot view, and advances TableGen so
+// plans bound to the replaced relation recompile. Must be called with
 // db.mu held.
 func (db *Database) writeTableLocked(name string, deepRows bool) *sqltypes.Relation {
 	rel := db.tables[name]
@@ -158,6 +159,7 @@ func (db *Database) writeTableLocked(name string, deepRows bool) *sqltypes.Relat
 		cp.Rows = append(make([]sqltypes.Row, 0, len(rel.Rows)+1), rel.Rows...)
 	}
 	db.tables[name] = cp
+	db.tableGen.Add(1)
 	delete(db.shared, name)
 	delete(db.indexes, name)
 	delete(db.sorted, name)

@@ -2,9 +2,11 @@ package storage
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
+	"cyclesql/internal/schema"
 	"cyclesql/internal/sqltypes"
 )
 
@@ -323,6 +325,115 @@ func BenchmarkSnapshotFirstWrite(b *testing.B) {
 		_ = db.Snapshot()
 		if err := db.Insert("Pet", row); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestTableGenAdvancesOnlyOnSwap pins TableGen's contract: it moves
+// exactly when a write replaces a table's relation — the first Insert or
+// Mutate of a table pinned by a snapshot — and never on an in-place
+// insert or on Snapshot itself.
+func TestTableGenAdvancesOnlyOnSwap(t *testing.T) {
+	db := testDB()
+	seedPets(db, 3)
+	if g := db.TableGen(); g != 0 {
+		t.Fatalf("fresh store at generation %d, want 0", g)
+	}
+	before := db.Table("Pet")
+	db.Snapshot()
+	if g := db.TableGen(); g != 0 {
+		t.Fatalf("Snapshot moved the generation to %d", g)
+	}
+	if db.Table("Pet") != before {
+		t.Fatal("Snapshot replaced the live relation")
+	}
+	seedPets(db, 1)
+	if g := db.TableGen(); g != 1 {
+		t.Fatalf("first insert after a snapshot: generation %d, want 1", g)
+	}
+	swapped := db.Table("Pet")
+	if swapped == before {
+		t.Fatal("first insert after a snapshot did not swap the relation")
+	}
+	seedPets(db, 2)
+	if g := db.TableGen(); g != 1 || db.Table("Pet") != swapped {
+		t.Fatalf("in-place inserts moved the generation to %d", g)
+	}
+	db.Snapshot()
+	db.Mutate(func(string, sqltypes.Row) {})
+	if g := db.TableGen(); g != 2 {
+		t.Fatalf("mutate after a snapshot: generation %d, want 2", g)
+	}
+	db.Mutate(func(string, sqltypes.Row) {})
+	if g := db.TableGen(); g != 2 {
+		t.Fatalf("mutate of an unpinned table moved the generation to %d", g)
+	}
+}
+
+// TestTableGenInterleaving runs a seeded interleaving of inserts into two
+// tables and snapshots against a model of which tables are pinned, while
+// a reader polls TableGen concurrently (the -race run checks the load
+// against the writer). The generation must advance exactly on the model's
+// swaps, and each snapshot must keep the row counts it pinned.
+func TestTableGenInterleaving(t *testing.T) {
+	s := &schema.Schema{Name: "two", Tables: []*schema.Table{
+		{Name: "A", Columns: []schema.Column{{Name: "x", Type: sqltypes.KindInt}}},
+		{Name: "B", Columns: []schema.Column{{Name: "y", Type: sqltypes.KindInt}}},
+	}}
+	db := NewDatabase(s)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		last := uint64(0)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			g := db.TableGen()
+			if g < last {
+				t.Errorf("generation went back from %d to %d", last, g)
+				return
+			}
+			last = g
+		}
+	}()
+	type pin struct {
+		snap   *Snapshot
+		counts [2]int
+	}
+	tables := []string{"A", "B"}
+	pinned := [2]bool{}
+	counts := [2]int{}
+	var pins []pin
+	want := uint64(0)
+	rng := rand.New(rand.NewSource(5))
+	for step := 0; step < 400; step++ {
+		if rng.Intn(5) == 0 {
+			pins = append(pins, pin{snap: db.Snapshot(), counts: counts})
+			pinned = [2]bool{true, true}
+			continue
+		}
+		ti := rng.Intn(2)
+		db.MustInsert(tables[ti], sqltypes.NewInt(int64(step)))
+		counts[ti]++
+		if pinned[ti] {
+			want++
+			pinned[ti] = false
+		}
+		if g := db.TableGen(); g != want {
+			t.Fatalf("step %d: generation %d, want %d", step, g, want)
+		}
+	}
+	close(stop)
+	<-done
+	for i, p := range pins {
+		for ti, name := range tables {
+			if got := p.snap.NumRows(name); got != p.counts[ti] {
+				t.Fatalf("snapshot %d: %s has %d rows, pinned %d", i, name, got, p.counts[ti])
+			}
 		}
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"cyclesql/internal/schema"
 	"cyclesql/internal/sqltypes"
@@ -63,6 +64,9 @@ type Database struct {
 	// reject. Set once before the view is published, read without the
 	// lock.
 	frozen bool
+	// tableGen advances whenever a write replaces a table's relation
+	// (writeTableLocked's copy-on-write swap); see TableGen.
+	tableGen atomic.Uint64
 }
 
 // lowerName folds a table name to the map key every index store uses.
@@ -79,12 +83,23 @@ func NewDatabase(s *schema.Schema) *Database {
 }
 
 // Table returns the stored relation for a table name, or nil if the table
-// does not exist. The returned relation is live and stable across inserts
-// (rows append in place), so the SQL compiler binds it directly into
-// compiled plans; callers must not mutate it.
+// does not exist; callers must not mutate it. The returned relation is
+// live while TableGen stays put: inserts into a table no snapshot pins
+// append to it in place. The first write to a pinned table replaces its
+// relation with a copy instead (snapshot.go) and advances TableGen, and
+// the old relation keeps the pinned contents. The SQL compiler binds
+// relations into compiled plans and recompiles a plan when TableGen has
+// moved since it was compiled.
 func (db *Database) Table(name string) *sqltypes.Relation {
 	return db.tables[strings.ToLower(name)]
 }
+
+// TableGen returns the table generation: a counter that advances exactly
+// when a write replaces some table's relation, never on an in-place
+// insert. A holder of relations returned by Table may keep using them
+// while the generation it read them at is current. Safe to call
+// concurrently with writers; it is one atomic load.
+func (db *Database) TableGen() uint64 { return db.tableGen.Load() }
 
 // Insert appends a row to a table after checking arity and coercing values
 // toward the declared column affinity (integers widen to REAL columns,
