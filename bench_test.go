@@ -1,6 +1,7 @@
 // Package cyclesql's root benchmarks regenerate every table and figure of
-// the paper's evaluation (one testing.B benchmark per artifact) plus the
-// ablation benches DESIGN.md calls out. Run with:
+// the paper's evaluation (one testing.B benchmark per artifact) plus
+// ablation benches for the design choices behind the stand-ins listed in
+// ARCHITECTURE.md "Substitutions". Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -93,7 +94,7 @@ func BenchmarkTable3Verifiers(b *testing.B) {
 	}
 }
 
-// ---- Ablation benches (DESIGN.md "Design choices called out") ----
+// ---- Ablation benches (see ARCHITECTURE.md "Substitutions") ----
 
 // BenchmarkAblationFocalLoss compares the paper's focal loss against plain
 // weighted cross-entropy on identical verifier training data, reporting
@@ -191,7 +192,7 @@ func BenchmarkAblationJoinSemantics(b *testing.B) {
 }
 
 // BenchmarkExplanationGeneration measures the per-result cost of the full
-// provenance -> annotation -> graph -> NL pipeline (the overhead Fig 8b
+// provenance -> anchored labels -> NL pipeline (the overhead Fig 8b
 // attributes to CycleSQL).
 func BenchmarkExplanationGeneration(b *testing.B) {
 	bench := datasets.Spider()

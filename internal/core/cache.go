@@ -18,19 +18,6 @@ type boundedCache[K comparable, V any] struct {
 	m     map[K]V
 }
 
-func (c *boundedCache[K, V]) get(k K) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.m[k]
-	return v, ok
-}
-
-func (c *boundedCache[K, V]) put(k K, v V) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.store(k, v)
-}
-
 // getOrCreate returns the cached value for k, building and caching it with
 // build on a miss. The whole round-trip is atomic, so concurrent callers
 // racing on a cold key share one value — which is what lets parallel
@@ -43,12 +30,6 @@ func (c *boundedCache[K, V]) getOrCreate(k K, build func() V) V {
 		return v
 	}
 	v := build()
-	c.store(k, v)
-	return v
-}
-
-// store must be called with c.mu held.
-func (c *boundedCache[K, V]) store(k K, v V) {
 	if c.m == nil {
 		c.m = make(map[K]V, c.limit)
 	} else if len(c.m) >= c.limit {
@@ -58,4 +39,5 @@ func (c *boundedCache[K, V]) store(k K, v V) {
 		}
 	}
 	c.m[k] = v
+	return v
 }

@@ -109,9 +109,11 @@ func TestConcurrentTranslateStress(t *testing.T) {
 	}
 }
 
-// TestBoundedCacheConcurrent exercises concurrent get/put/getOrCreate on
-// one boundedCache — the race that exists today for any caller sharing a
-// Pipeline across goroutines, fixed by the cache's mutex.
+// TestBoundedCacheConcurrent exercises concurrent getOrCreate on one
+// boundedCache across its eviction limit — the race that exists for any
+// caller sharing a Pipeline across goroutines, fixed by the cache's mutex.
+// A hit must hand back the value some caller built for that key, and
+// eviction must hold the map at its limit.
 func TestBoundedCacheConcurrent(t *testing.T) {
 	c := &boundedCache[int, int]{limit: 8}
 	var wg sync.WaitGroup
@@ -121,18 +123,16 @@ func TestBoundedCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				k := (g + i) % 12 // cross the eviction limit on purpose
-				c.put(k, g)
-				if v, ok := c.get(k); ok && v > 8 {
-					t.Errorf("impossible cached value %d", v)
-				}
-				got := c.getOrCreate(k, func() int { return g })
-				if got > 8 {
-					t.Errorf("impossible created value %d", got)
+				if got := c.getOrCreate(k, func() int { return 100*k + g }); got/100 != k || got%100 >= 8 {
+					t.Errorf("key %d: impossible cached value %d", k, got)
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
+	if n := len(c.m); n > c.limit {
+		t.Fatalf("cache holds %d entries, limit %d", n, c.limit)
+	}
 }
 
 // TestBoundedCacheGetOrCreateShares asserts the atomicity that matters to

@@ -4,7 +4,7 @@
 // testing.B benchmark per artifact and cmd/benchmark drives them from the
 // command line.
 //
-// Experiment index (mirrors DESIGN.md):
+// Experiment index (the ids `cmd/benchmark -exp` accepts):
 //
 //	fig1    accuracy vs beam size (Fig 1)
 //	table1  overall EM/EX/TS, base vs +CycleSQL, five benchmarks (Table I)

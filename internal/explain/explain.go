@@ -1,26 +1,29 @@
 // Package explain implements CycleSQL's explanation-generation stage
-// (paper §IV-C, Algorithm 1). Given the enriched provenance of a query
+// (paper §IV-B and §IV-C, Algorithm 1). Given the provenance of a query
 // result, it synthesizes a data-grounded natural-language explanation:
 //
 //  1. GENERATE-SUMMARY — a brief summary of the result set (column/row
 //     counts, aggregation types, surface filters);
-//  2. BUILD-GRAPH — the provenance graph with semantics labels;
-//  3. GENERATE-PHRASE — an NL phrase per provenance element, grounding
-//     operation-level semantics in the concrete data values;
+//  2. enrichment — each SELECT core decomposes into typed query-unit
+//     labels, each anchored to one provenance column or to the provenance
+//     table as a whole; the anchored columns and their values in the
+//     representative provenance row stand in for the paper's provenance
+//     graph;
+//  3. GENERATE-PHRASE — an NL phrase per label, grounding operation-level
+//     semantics in the concrete data values;
 //  4. COMPOSE-PHRASE — concatenation with descriptive connectives.
 //
 // The generated text is intentionally mechanical; a Polisher can refine it
 // for readability (the paper uses a few-shot prompted LLM; this repo ships
-// a rule-based polisher, see DESIGN.md "Substitutions").
+// a rule-based polisher, see ARCHITECTURE.md "Substitutions").
 package explain
 
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
-	"sync"
 
-	"cyclesql/internal/annotate"
 	"cyclesql/internal/provenance"
 	"cyclesql/internal/provgraph"
 	"cyclesql/internal/sqlast"
@@ -35,43 +38,40 @@ type Polisher interface {
 
 // Explanation is the generated NL explanation of one query result tuple.
 type Explanation struct {
-	Summary string   // the result-set summary (step s0 of Algorithm 1)
-	Steps   []string // intermediate reasoning steps (one per part)
-	Text    string   // composed full text
-	Prov    *provenance.Provenance
+	Text string // composed full text
+	Prov *provenance.Provenance
 }
 
 // Explainer generates explanations against one database. It is safe for
-// concurrent use once DB and Polish are set: the in-flight provenance is
-// passed explicitly through the generation call chain (no per-explanation
-// state lives on the struct), and the shared tracker guards its own
-// memoization — so the CycleSQL loop can explain beam candidates in
-// parallel through one cached explainer. Set DB and Polish before the
-// first Explain and leave them unchanged afterwards.
+// concurrent use once Polish is set: the in-flight provenance is passed
+// explicitly through the generation call chain (no per-explanation state
+// lives on the struct), and the shared tracker guards its own memoization
+// — so the CycleSQL loop can explain beam candidates in parallel through
+// one cached explainer. Set Polish before the first Explain and leave it
+// unchanged afterwards.
 type Explainer struct {
-	DB     *storage.Database
 	Polish Polisher // optional; set before first use
 
+	db *storage.Database
 	// tracker persists across Explain calls so repeated explanations
 	// against the same database reuse compiled provenance statements —
 	// its rewrite cache keys on rendered core SQL and its executor's plan
 	// cache on canonical SQL, so textually identical candidates share
 	// work even when every beam hands over a fresh AST. Callers that
 	// alternate databases cache whole explainers instead (see
-	// core.DataGrounded). mu guards the lazy (re)initialization for
-	// explainers constructed without New.
-	mu      sync.Mutex
+	// core.DataGrounded).
 	tracker *provenance.Tracker
 }
 
 // New returns an Explainer over db with no polisher.
 func New(db *storage.Database) *Explainer {
-	return &Explainer{DB: db, tracker: provenance.NewTracker(db)}
+	return &Explainer{db: db, tracker: provenance.NewTracker(db)}
 }
 
 // Explain produces the explanation for row rowIdx of result, which must be
-// the output of executing stmt against e.DB. For empty results the
-// explanation is generated from operation-level semantics alone.
+// the output of executing stmt against the explainer's database. For empty
+// results the explanation is generated from operation-level semantics
+// alone.
 func (e *Explainer) Explain(stmt *sqlast.SelectStmt, result *sqltypes.Relation, rowIdx int) (*Explanation, error) {
 	return e.ExplainContext(context.Background(), stmt, result, rowIdx)
 }
@@ -82,44 +82,49 @@ func (e *Explainer) Explain(stmt *sqlast.SelectStmt, result *sqltypes.Relation, 
 // Phrase generation itself is pure in-memory string work and finishes
 // without further checks once tracking completes.
 func (e *Explainer) ExplainContext(ctx context.Context, stmt *sqlast.SelectStmt, result *sqltypes.Relation, rowIdx int) (*Explanation, error) {
-	prov, err := e.trackerFor().TrackContext(ctx, stmt, result, rowIdx)
+	prov, err := e.tracker.TrackContext(ctx, stmt, result, rowIdx)
 	if err != nil {
 		return nil, err
 	}
 	return e.FromProvenance(prov)
 }
 
-// trackerFor returns the persistent tracker, lazily (re)building it for
-// explainers constructed without New or rebound to another database. The
-// lock makes the one-time initialization safe under concurrent Explain.
-func (e *Explainer) trackerFor() *provenance.Tracker {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.tracker == nil || e.tracker.DB() != e.DB {
-		e.tracker = provenance.NewTracker(e.DB)
-	}
-	return e.tracker
-}
-
-// FromProvenance generates the explanation from already-tracked provenance.
-// The provenance is threaded explicitly through the generation chain, so
-// concurrent calls on one Explainer never observe each other's tuples.
+// FromProvenance generates the explanation from already-tracked provenance:
+// the summary, then one step per SELECT core stitched with set-operation
+// connectives (COMPOSE-PHRASE). The provenance is threaded explicitly
+// through the generation chain, so concurrent calls on one Explainer never
+// observe each other's tuples.
 func (e *Explainer) FromProvenance(prov *provenance.Provenance) (*Explanation, error) {
-	ann := annotate.Annotate(prov)
-	out := &Explanation{Prov: prov}
-	out.Summary = e.summary(prov)
+	var b strings.Builder
+	e.summary(&b, prov)
+	steps := len(prov.Parts)
 	if prov.Empty {
-		// Operation-level semantics only (paper §IV-A, empty results).
-		for _, core := range prov.Original.Cores {
-			out.Steps = append(out.Steps, e.operationStep(core))
-		}
-	} else {
-		for i, part := range prov.Parts {
-			g := provgraph.Build(part, ann.Parts[i])
-			out.Steps = append(out.Steps, e.phraseStep(prov, part, g))
-		}
+		steps = len(prov.Original.Cores)
 	}
-	out.Text = e.compose(prov, out.Summary, out.Steps)
+	var labels []label
+	for i := 0; i < steps; i++ {
+		b.WriteByte(' ')
+		if i > 0 && i-1 < len(prov.Original.Ops) {
+			switch prov.Original.Ops[i-1] {
+			case sqlast.Intersect:
+				b.WriteString("And also: ")
+			case sqlast.Except:
+				b.WriteString("Excluding: ")
+			default:
+				b.WriteString("Or: ")
+			}
+		}
+		if prov.Empty {
+			// Operation-level semantics only (paper §IV-A, empty results).
+			e.operationStep(&b, prov.Original.Cores[i])
+			continue
+		}
+		part := prov.Parts[i]
+		labels = labelCore(labels[:0], part.Core)
+		anchor(labels, part.Table)
+		e.phraseStep(&b, prov, part, labels)
+	}
+	out := &Explanation{Prov: prov, Text: strings.Join(strings.Fields(b.String()), " ")}
 	if e.Polish != nil {
 		out.Text = e.Polish.Polish(out.Text)
 	}
@@ -128,158 +133,160 @@ func (e *Explainer) FromProvenance(prov *provenance.Provenance) (*Explanation, e
 
 // summary implements GENERATE-SUMMARY: result-set shape plus the query's
 // surface filters.
-func (e *Explainer) summary(prov *provenance.Provenance) string {
+func (e *Explainer) summary(b *strings.Builder, prov *provenance.Provenance) {
 	r := prov.ResultSet
-	var b strings.Builder
 	b.WriteString("The query returns a result set with ")
 	aggs := aggregateTypes(prov.Original)
 	switch {
 	case len(aggs) == len(r.Columns) && len(aggs) > 0:
-		fmt.Fprintf(&b, "%s of aggregation type (%s)", plural(len(r.Columns), "column"), strings.Join(aggs, ", "))
+		fmt.Fprintf(b, "%s of aggregation type (%s)", plural(len(r.Columns), "column"), strings.Join(aggs, ", "))
 	case len(aggs) > 0:
-		fmt.Fprintf(&b, "%s (including aggregation type %s)", plural(len(r.Columns), "column"), strings.Join(aggs, ", "))
+		fmt.Fprintf(b, "%s (including aggregation type %s)", plural(len(r.Columns), "column"), strings.Join(aggs, ", "))
 	default:
-		fmt.Fprintf(&b, "%s (%s)", plural(len(r.Columns), "column"), strings.Join(bareColumns(r.Columns), ", "))
+		fmt.Fprintf(b, "%s (%s)", plural(len(r.Columns), "column"), strings.Join(bareColumns(r.Columns), ", "))
 	}
-	fmt.Fprintf(&b, " and %s", plural(r.NumRows(), "row"))
+	fmt.Fprintf(b, " and %s", plural(r.NumRows(), "row"))
 	if fs := allFilters(prov.Original); len(fs) != 0 {
 		b.WriteString(", filtered by ")
 		for i, f := range fs {
 			if i > 0 {
 				b.WriteString(" and ")
 			}
-			fmt.Fprintf(&b, "%s %s %s", bareColumn(f.Column), opPhrase(f.Op), f.Value.String())
+			fmt.Fprintf(b, "%s %s %s", bareColumn(f.Column), opPhrase(f.Op), f.Value.String())
 		}
 	}
 	b.WriteString(".")
-	return b.String()
 }
 
 // phraseStep implements GENERATE-PHRASE + the per-part portion of
-// COMPOSE-PHRASE for one provenance part, traversing the provenance graph
-// and verbalizing each labeled element. prov is the in-flight provenance
-// the part belongs to; it rides along so aggregate phrases can ground
-// themselves in the to-explain result tuple.
-func (e *Explainer) phraseStep(prov *provenance.Provenance, part provenance.Part, g *provgraph.Graph) string {
+// COMPOSE-PHRASE for one provenance part, verbalizing each label. Clauses
+// come first, in provenance-column order and then label order; the tails
+// follow: table-level labels in label order, then column-anchored
+// aggregates in column order. prov is the in-flight provenance the part
+// belongs to; it rides along so aggregate phrases can ground themselves in
+// the to-explain result tuple.
+func (e *Explainer) phraseStep(b *strings.Builder, prov *provenance.Provenance, part provenance.Part, labels []label) {
 	core := part.Core
-	var tableNames []string
-	for _, t := range core.Tables() {
-		if t.Name != "" {
-			tableNames = append(tableNames, t.Name)
-		}
-	}
-	join := provgraph.DiscoverJoin(e.DB.Schema, tableNames)
-	subject := join.Phrase
+	subject := provgraph.DiscoverJoin(e.db.Schema, tableNames(core)).Phrase
 	if subject == "" {
 		subject = "the rows"
 	}
+	b.WriteString("For ")
+	b.WriteString(subject)
 
-	var clauses []string
-
-	// Filter-like labels on column nodes, grounded in provenance values.
-	for _, col := range g.Columns() {
-		for _, lab := range col.Labels {
-			if phrase := e.groundedColumnPhrase(col, lab, g); phrase != "" {
-				clauses = append(clauses, phrase)
+	var cols []string
+	var row sqltypes.Row
+	if part.Table != nil {
+		cols = part.Table.Columns
+		if len(part.Table.Rows) > 0 {
+			row = part.Table.Rows[0]
+		}
+	}
+	phrases := 0
+	// Filter-like labels on columns, grounded in provenance values.
+	for ci, col := range cols {
+		for i := range labels {
+			if labels[i].col != ci {
+				continue
+			}
+			if p := columnPhrase(&labels[i], col, row, ci); p != "" {
+				b.WriteString(", ")
+				b.WriteString(p)
+				phrases++
 			}
 		}
 	}
-	// Table-level labels: aggregates, HAVING, ORDER/LIMIT, EXISTS.
-	tableNode := g.Nodes[g.Table]
-	entity := headEntity(e.DB, core)
-	var tails []string
-	for _, lab := range tableNode.Labels {
-		if phrase := e.tablePhrase(prov, lab, part, entity); phrase != "" {
-			tails = append(tails, phrase)
+	// Table-level labels: aggregates, HAVING, ORDER/LIMIT, EXISTS, and
+	// labels whose column is missing from the provenance.
+	entity := headEntity(e.db, core)
+	tails := 0
+	tail := func(l *label) {
+		if p := tablePhrase(prov, l, part, entity); p != "" {
+			if tails == 0 {
+				b.WriteString(", ")
+			} else {
+				b.WriteString(", and ")
+			}
+			b.WriteString(p)
+			tails++
+		}
+	}
+	for i := range labels {
+		if labels[i].col < 0 {
+			tail(&labels[i])
 		}
 	}
 	// Aggregate labels anchored on a concrete column still summarize the
 	// table (count(T2.language) counts rows of the group).
-	for _, col := range g.Columns() {
-		for _, lab := range col.Labels {
-			if lab.Kind == annotate.KindAggregate {
-				if phrase := e.tablePhrase(prov, lab, part, entity); phrase != "" {
-					tails = append(tails, phrase)
-				}
+	for ci := range cols {
+		for i := range labels {
+			if labels[i].col == ci && labels[i].kind == kindAggregate {
+				tail(&labels[i])
 			}
 		}
 	}
-
-	var b strings.Builder
-	b.WriteString("For ")
-	b.WriteString(subject)
-	if len(clauses) > 0 {
-		b.WriteString(", ")
-		b.WriteString(strings.Join(clauses, ", "))
-	}
-	if len(tails) > 0 {
-		b.WriteString(", ")
-		b.WriteString(strings.Join(tails, ", and "))
-	}
-	if len(clauses) == 0 && len(tails) == 0 {
+	if phrases+tails == 0 {
 		// Pure projection query: ground the representative row.
-		if row := representativeRow(part); row != "" {
+		if rep := representativeRow(part); rep != "" {
 			b.WriteString(", ")
-			b.WriteString(row)
+			b.WriteString(rep)
 		}
 	}
 	b.WriteString(".")
-	return b.String()
 }
 
-// groundedColumnPhrase verbalizes one column-anchored label using the
-// column's provenance value, so the explanation reflects the data instance
-// rather than the query surface alone.
-func (e *Explainer) groundedColumnPhrase(col *provgraph.Node, lab annotate.Annotation, g *provgraph.Graph) string {
-	val, hasVal := g.ValueOf(col.ID)
-	colNL := bareColumn(col.Label)
-	switch lab.Kind {
-	case annotate.KindFilter:
-		op := lab.Detail["op"]
-		want := lab.Detail["value"]
-		if lab.Detail["subquery"] == "true" {
-			return fmt.Sprintf("the %s is %s %s", colNL, opPhrase(op), want)
+// columnPhrase verbalizes one column-anchored label using the column's
+// value in the representative provenance row, so the explanation reflects
+// the data instance rather than the query surface alone.
+func columnPhrase(l *label, col string, row sqltypes.Row, ci int) string {
+	var val sqltypes.Value
+	hasVal := ci < len(row)
+	if hasVal {
+		val = row[ci]
+	}
+	colNL := bareColumn(col)
+	switch l.kind {
+	case kindFilter:
+		if l.subquery {
+			return fmt.Sprintf("the %s is %s %s", colNL, opPhrase(l.op), l.value)
 		}
-		if hasVal && val.String() != want {
+		if hasVal && val.String() != l.value {
 			// Data value differs from the filter constant (inequalities):
 			// surface both, as in the paper's Estonia example.
-			return fmt.Sprintf("the %s is %s, %s %s", colNL, val, opPhrase(op), want)
+			return fmt.Sprintf("the %s is %s, %s %s", colNL, val, opPhrase(l.op), l.value)
 		}
-		if op == "=" {
-			return fmt.Sprintf("with %s %s", colNL, want)
+		if l.op == "=" {
+			return fmt.Sprintf("with %s %s", colNL, l.value)
 		}
-		return fmt.Sprintf("the %s is %s %s", colNL, opPhrase(op), want)
-	case annotate.KindMembership:
-		neg := lab.Detail["not"] == "true"
-		target := lab.Detail["value"]
-		if neg {
-			return fmt.Sprintf("whose %s is not among %s", colNL, target)
+		return fmt.Sprintf("the %s is %s %s", colNL, opPhrase(l.op), l.value)
+	case kindMembership:
+		if l.not {
+			return fmt.Sprintf("whose %s is not among %s", colNL, l.value)
 		}
-		return fmt.Sprintf("whose %s is among %s", colNL, target)
-	case annotate.KindPattern:
-		neg := lab.Detail["not"] == "true"
-		pat := strings.Trim(lab.Detail["pattern"], "'")
+		return fmt.Sprintf("whose %s is among %s", colNL, l.value)
+	case kindPattern:
+		pat := strings.Trim(l.value, "'")
 		verb := "matches"
-		if neg {
+		if l.not {
 			verb = "does not match"
 		}
 		if hasVal {
 			return fmt.Sprintf("the %s %s %s the pattern %s", colNL, val, verb, pat)
 		}
 		return fmt.Sprintf("the %s %s the pattern %s", colNL, verb, pat)
-	case annotate.KindRange:
-		return fmt.Sprintf("the %s is between %s and %s", colNL, lab.Detail["lo"], lab.Detail["hi"])
-	case annotate.KindNullCheck:
-		if lab.Detail["not"] == "true" {
+	case kindRange:
+		return fmt.Sprintf("the %s is between %s and %s", colNL, l.lo, l.hi)
+	case kindNullCheck:
+		if l.not {
 			return fmt.Sprintf("the %s is present", colNL)
 		}
 		return fmt.Sprintf("the %s is missing", colNL)
-	case annotate.KindGroup:
+	case kindGroup:
 		if hasVal {
 			return fmt.Sprintf("grouped by %s, here %s %s", colNL, colNL, val)
 		}
 		return fmt.Sprintf("grouped by %s", colNL)
-	case annotate.KindProjection:
+	case kindProjection:
 		if hasVal {
 			return fmt.Sprintf("the %s is %s", colNL, val)
 		}
@@ -287,67 +294,66 @@ func (e *Explainer) groundedColumnPhrase(col *provgraph.Node, lab annotate.Annot
 	return ""
 }
 
-// tablePhrase verbalizes one table-level label.
-func (e *Explainer) tablePhrase(prov *provenance.Provenance, lab annotate.Annotation, part provenance.Part, entity string) string {
-	rows := 0
-	if part.Table != nil {
-		rows = part.Table.NumRows()
-	}
-	switch lab.Kind {
-	case annotate.KindAggregate:
-		fn := lab.Detail["func"]
-		arg := lab.Detail["arg"]
-		resultVal := e.aggregateResultValue(prov, part, lab)
-		switch fn {
+// tablePhrase verbalizes one label that describes the provenance table as
+// a whole.
+func tablePhrase(prov *provenance.Provenance, l *label, part provenance.Part, entity string) string {
+	switch l.kind {
+	case kindAggregate:
+		resultVal := aggregateResultValue(prov, part, l)
+		switch l.fn {
 		case "count":
 			noun := pluralNoun(entity)
-			if arg != "*" && arg != "" && !isIDColumn(arg) {
-				noun = pluralNoun(bareColumn(arg))
+			if l.arg != "*" && l.arg != "" && !isIDColumn(l.arg) {
+				noun = pluralNoun(bareColumn(l.arg))
 			}
-			if lab.Detail["distinct"] == "true" {
+			if l.distinct {
 				return fmt.Sprintf("there are %s distinct %s in total", resultVal, noun)
 			}
 			return fmt.Sprintf("there are %s %s in total", resultVal, noun)
 		case "sum":
-			return fmt.Sprintf("the total %s is %s", bareColumn(arg), resultVal)
+			return fmt.Sprintf("the total %s is %s", bareColumn(l.arg), resultVal)
 		case "avg":
-			return fmt.Sprintf("the average %s is %s", bareColumn(arg), resultVal)
+			return fmt.Sprintf("the average %s is %s", bareColumn(l.arg), resultVal)
 		case "min":
-			return fmt.Sprintf("the smallest %s is %s", bareColumn(arg), resultVal)
+			return fmt.Sprintf("the smallest %s is %s", bareColumn(l.arg), resultVal)
 		case "max":
-			return fmt.Sprintf("the largest %s is %s", bareColumn(arg), resultVal)
+			return fmt.Sprintf("the largest %s is %s", bareColumn(l.arg), resultVal)
 		}
-	case annotate.KindHaving:
-		fn, arg, op, rhs := lab.Detail["func"], lab.Detail["arg"], lab.Detail["op"], lab.Detail["rhs"]
-		noun := pluralNoun(bareColumn(arg))
-		if arg == "" {
+	case kindHaving:
+		noun := pluralNoun(bareColumn(l.arg))
+		if l.arg == "" {
 			noun = "rows"
 		}
-		return fmt.Sprintf("keeping only groups where the %s of %s is %s %s", fn, noun, opPhrase(op), rhs)
-	case annotate.KindOrder:
-		key := lab.Detail["key"]
-		dir := lab.Detail["dir"]
-		if lim := lab.Detail["limit"]; lim != "" {
-			return fmt.Sprintf("ranked by %s %s taking the top %s", bareColumn(key), dir, lim)
+		return fmt.Sprintf("keeping only groups where the %s of %s is %s %s", l.fn, noun, opPhrase(l.op), l.rhs)
+	case kindOrder:
+		dir := "ascending"
+		if l.desc {
+			dir = "descending"
 		}
-		return fmt.Sprintf("ordered by %s %s", bareColumn(key), dir)
-	case annotate.KindExists:
-		if lab.Detail["not"] == "true" {
-			return fmt.Sprintf("with no matching %s", lab.Detail["value"])
+		if l.limit != nil {
+			return fmt.Sprintf("ranked by %s %s taking the top %s", bareColumn(l.key), dir, strconv.FormatInt(*l.limit, 10))
 		}
-		return fmt.Sprintf("with some matching %s", lab.Detail["value"])
-	case annotate.KindDistinct:
+		return fmt.Sprintf("ordered by %s %s", bareColumn(l.key), dir)
+	case kindExists:
+		if l.not {
+			return fmt.Sprintf("with no matching %s", l.value)
+		}
+		return fmt.Sprintf("with some matching %s", l.value)
+	case kindDistinct:
 		return "with duplicate entries removed"
-	case annotate.KindFilter, annotate.KindMembership, annotate.KindPattern:
-		// A filter that could not anchor to a provenance column (for
-		// example the rewrite failed): verbalize from the query surface.
-		op := lab.Detail["op"]
+	case kindFilter, kindMembership, kindPattern:
+		// A filter whose column is missing from the provenance table (for
+		// example the rewrite dropped it): verbalize from the query
+		// surface. Only comparisons carry an operator, and a LIKE's
+		// pattern is not repeated here.
+		op, value := l.op, l.value
 		if op == "" {
 			op = "="
 		}
-		return fmt.Sprintf("where %s is %s %s", bareColumn(lab.Column), opPhrase(op), lab.Detail["value"])
-	case annotate.KindJoin:
-		_ = rows // join structure is already carried by the subject phrase
+		if l.kind == kindPattern {
+			value = ""
+		}
+		return fmt.Sprintf("where %s is %s %s", bareColumn(l.column), opPhrase(op), value)
 	}
 	return ""
 }
@@ -355,16 +361,12 @@ func (e *Explainer) tablePhrase(prov *provenance.Provenance, lab annotate.Annota
 // aggregateResultValue resolves the concrete value of an aggregate label:
 // the matching column of the to-explain result tuple when identifiable,
 // else the recomputed aggregate over the provenance rows.
-func (e *Explainer) aggregateResultValue(prov *provenance.Provenance, part provenance.Part, lab annotate.Annotation) string {
-	table := part.Table
-	// Find the aggregate's position among the core's items and take the
-	// corresponding result value if the result tuple aligns.
-	fn, arg := lab.Detail["func"], lab.Detail["arg"]
-	if res := lookupResultAggregate(prov, part.Core, fn, arg); res != "" {
+func aggregateResultValue(prov *provenance.Provenance, part provenance.Part, l *label) string {
+	if res := lookupResultAggregate(prov, part.Core, l.fn, l.arg); res != "" {
 		return res
 	}
-	if table != nil && fn == "count" {
-		return fmt.Sprintf("%d", table.NumRows())
+	if part.Table != nil && l.fn == "count" {
+		return strconv.Itoa(part.Table.NumRows())
 	}
 	return "the computed value"
 }
@@ -396,15 +398,8 @@ func lookupResultAggregate(prov *provenance.Provenance, core *sqlast.SelectCore,
 
 // operationStep verbalizes a core from its query surface alone; used for
 // empty-result queries that carry no data-level provenance.
-func (e *Explainer) operationStep(core *sqlast.SelectCore) string {
-	var tableNames []string
-	for _, t := range core.Tables() {
-		if t.Name != "" {
-			tableNames = append(tableNames, t.Name)
-		}
-	}
-	join := provgraph.DiscoverJoin(e.DB.Schema, tableNames)
-	var b strings.Builder
+func (e *Explainer) operationStep(b *strings.Builder, core *sqlast.SelectCore) {
+	join := provgraph.DiscoverJoin(e.db.Schema, tableNames(core))
 	b.WriteString("No data matches: the query looks for ")
 	b.WriteString(describeItems(core))
 	if join.Phrase != "" {
@@ -417,31 +412,19 @@ func (e *Explainer) operationStep(core *sqlast.SelectCore) string {
 			if i > 0 {
 				b.WriteString(" and ")
 			}
-			fmt.Fprintf(&b, "%s is %s %s", bareColumn(f.Column.Column), opPhrase(f.Op), f.Value.String())
+			fmt.Fprintf(b, "%s is %s %s", bareColumn(f.Column.Column), opPhrase(f.Op), f.Value.String())
 		}
 	}
 	b.WriteString(", and no such rows exist.")
-	return b.String()
 }
 
-// compose implements COMPOSE-PHRASE: the summary plus the per-part steps
-// stitched with set-operation connectives.
-func (e *Explainer) compose(prov *provenance.Provenance, summary string, steps []string) string {
-	var b strings.Builder
-	b.WriteString(summary)
-	for i, s := range steps {
-		b.WriteByte(' ')
-		if i > 0 && i-1 < len(prov.Original.Ops) {
-			switch prov.Original.Ops[i-1] {
-			case sqlast.Intersect:
-				b.WriteString("And also: ")
-			case sqlast.Except:
-				b.WriteString("Excluding: ")
-			default:
-				b.WriteString("Or: ")
-			}
+// tableNames lists the named base tables a core references, in FROM order.
+func tableNames(core *sqlast.SelectCore) []string {
+	var names []string
+	for _, t := range core.Tables() {
+		if t.Name != "" {
+			names = append(names, t.Name)
 		}
-		b.WriteString(s)
 	}
-	return strings.Join(strings.Fields(b.String()), " ")
+	return names
 }

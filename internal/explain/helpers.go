@@ -69,10 +69,7 @@ func isVowel(c byte) bool {
 
 // bareColumn strips qualifiers and naturalizes a column spelling.
 func bareColumn(col string) string {
-	if dot := strings.LastIndexByte(col, '.'); dot >= 0 {
-		col = col[dot+1:]
-	}
-	return schema.Naturalize(col)
+	return schema.Naturalize(unqualified(col))
 }
 
 func bareColumns(cols []string) []string {
@@ -145,10 +142,7 @@ type filterSurface struct {
 // column; COUNT over identifiers reads as counting the entity itself
 // ("2 flights", not "2 ids").
 func isIDColumn(arg string) bool {
-	col := strings.ToLower(arg)
-	if dot := strings.LastIndexByte(col, '.'); dot >= 0 {
-		col = col[dot+1:]
-	}
+	col := strings.ToLower(unqualified(arg))
 	return col == "id" || strings.HasSuffix(col, "_id") || strings.HasSuffix(col, "id") && len(col) <= 4 || col == "code"
 }
 

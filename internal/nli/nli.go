@@ -9,7 +9,7 @@
 // repository substitutes a featurized MLP trained with the same protocol —
 // Adam, focal loss (γ=2.0, α=0.75) with class re-weighting, positives from
 // gold pairs, negatives from model errors on the training split — over
-// lexical-alignment features (see DESIGN.md "Substitutions"). The package
+// lexical-alignment features (see ARCHITECTURE.md "Substitutions"). The package
 // also ships the paper's two "strawman" verifiers (a simulated few-shot
 // LLM and a simulated off-the-shelf NLI model) used by Table III.
 package nli

@@ -1,171 +1,20 @@
-// Package provgraph builds the provenance graph at the heart of CycleSQL's
-// explanation generation (paper §IV-C): a directed graph whose nodes are
-// provenance elements — the (possibly joint) table, its columns, and the
-// values of the to-explain provenance rows — connected by "hasAttribute"
-// and "hasValue" edges. Query annotations from the enrichment stage attach
-// to their corresponding nodes as semantics labels.
+// Package provgraph implements the join-semantics discovery of CycleSQL's
+// explanation generation (paper §IV-C, Fig 6): the join relations of a
+// query are converted into a table graph and matched by graph isomorphism
+// against a pool of pre-defined topologies (object-object,
+// subject-relationship-object, object-attribute); on a match, the
+// topology's phrase template instantiates with the concrete table names,
+// and otherwise the table names themselves represent the join semantics.
 //
-// The package also implements the join-semantics discovery of Fig 6: the
-// join relations of a query are converted into a table graph and matched
-// by graph isomorphism against a pool of pre-defined topologies
-// (object-object, subject-relationship-object, object-attribute); on a
-// match, the topology's phrase template instantiates with the concrete
-// table names, and otherwise the table names themselves represent the
-// join semantics.
+// How query semantics attach to the provenance itself lives in
+// internal/explain.
 package provgraph
 
 import (
 	"strings"
 
-	"cyclesql/internal/annotate"
-	"cyclesql/internal/provenance"
 	"cyclesql/internal/schema"
-	"cyclesql/internal/sqltypes"
 )
-
-// NodeKind classifies provenance graph nodes.
-type NodeKind int
-
-// Node kinds.
-const (
-	TableNode NodeKind = iota
-	ColumnNode
-	ValueNode
-)
-
-// EdgeHasAttribute connects a table node to its column nodes;
-// EdgeHasValue connects a column node to a value node.
-const (
-	EdgeHasAttribute = "hasAttribute"
-	EdgeHasValue     = "hasValue"
-)
-
-// Node is one provenance element with its attached semantics labels.
-type Node struct {
-	ID     int
-	Kind   NodeKind
-	Label  string // table name, column name, or value text
-	Value  sqltypes.Value
-	Labels []annotate.Annotation // semantics labels from the annotator
-}
-
-// Edge is a typed directed edge.
-type Edge struct {
-	From, To int
-	Type     string
-}
-
-// Graph is the provenance graph of one provenance part.
-type Graph struct {
-	Nodes []*Node
-	Edges []Edge
-	// Table is the index of the (joint) table node.
-	Table int
-}
-
-// Build constructs the provenance graph for one provenance part: a joint
-// table node named after the referenced tables, one column node per
-// provenance column, and value nodes for the first representative
-// provenance row. Annotations anchor onto matching column nodes; anchorless
-// annotations label the table node (the paper's asterisk rule).
-func Build(part provenance.Part, anns []annotate.Annotation) *Graph {
-	g := &Graph{}
-	tables := part.Core.Tables()
-	names := make([]string, 0, len(tables))
-	for _, t := range tables {
-		if t.Name != "" {
-			names = append(names, t.Name)
-		}
-	}
-	tn := &Node{ID: 0, Kind: TableNode, Label: strings.Join(names, "-")}
-	g.Nodes = append(g.Nodes, tn)
-	g.Table = 0
-
-	if part.Table == nil {
-		// Operation-level-only provenance: annotations all label the table.
-		tn.Labels = append(tn.Labels, anns...)
-		return g
-	}
-	colIdx := map[string]int{}
-	for _, col := range part.Table.Columns {
-		n := &Node{ID: len(g.Nodes), Kind: ColumnNode, Label: col}
-		g.Nodes = append(g.Nodes, n)
-		g.Edges = append(g.Edges, Edge{From: tn.ID, To: n.ID, Type: EdgeHasAttribute})
-		colIdx[strings.ToLower(col)] = n.ID
-	}
-	if len(part.Table.Rows) > 0 {
-		row := part.Table.Rows[0]
-		for ci, col := range part.Table.Columns {
-			if ci >= len(row) {
-				break
-			}
-			n := &Node{ID: len(g.Nodes), Kind: ValueNode, Label: row[ci].String(), Value: row[ci]}
-			g.Nodes = append(g.Nodes, n)
-			g.Edges = append(g.Edges, Edge{From: colIdx[strings.ToLower(col)], To: n.ID, Type: EdgeHasValue})
-		}
-	}
-	// Attach semantics labels.
-	for _, a := range anns {
-		if !a.Anchored() {
-			tn.Labels = append(tn.Labels, a)
-			continue
-		}
-		if id, ok := matchColumn(colIdx, a.Column); ok {
-			g.Nodes[id].Labels = append(g.Nodes[id].Labels, a)
-		} else {
-			// Column missing from provenance (for example dropped by a
-			// failed rewrite): fall back to the table node.
-			tn.Labels = append(tn.Labels, a)
-		}
-	}
-	return g
-}
-
-// matchColumn resolves an annotation anchor ("T2.name" or "name") against
-// the provenance columns, tolerating qualification differences.
-func matchColumn(colIdx map[string]int, anchor string) (int, bool) {
-	a := strings.ToLower(anchor)
-	if id, ok := colIdx[a]; ok {
-		return id, true
-	}
-	bare := a
-	if dot := strings.LastIndexByte(a, '.'); dot >= 0 {
-		bare = a[dot+1:]
-	}
-	for col, id := range colIdx {
-		c := col
-		if dot := strings.LastIndexByte(col, '.'); dot >= 0 {
-			c = col[dot+1:]
-		}
-		if c == bare {
-			return id, true
-		}
-	}
-	return 0, false
-}
-
-// ValueOf returns the representative value of a column node, if present.
-func (g *Graph) ValueOf(columnID int) (sqltypes.Value, bool) {
-	for _, e := range g.Edges {
-		if e.From == columnID && e.Type == EdgeHasValue {
-			return g.Nodes[e.To].Value, true
-		}
-	}
-	return sqltypes.Value{}, false
-}
-
-// Columns returns the column nodes in insertion order.
-func (g *Graph) Columns() []*Node {
-	var out []*Node
-	for _, n := range g.Nodes {
-		if n.Kind == ColumnNode {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// ---- Join-semantics discovery (Fig 6) ----
 
 // Topology is one pre-defined inter-table relation graph in the pool.
 type Topology struct {

@@ -4,82 +4,9 @@ import (
 	"strings"
 	"testing"
 
-	"cyclesql/internal/annotate"
-	"cyclesql/internal/datasets"
-	"cyclesql/internal/provenance"
 	"cyclesql/internal/schema"
-	"cyclesql/internal/sqleval"
-	"cyclesql/internal/sqlparse"
 	"cyclesql/internal/sqltypes"
 )
-
-func buildFor(t *testing.T, sql string) *Graph {
-	t.Helper()
-	db := datasets.FlightDB()
-	stmt := sqlparse.MustParse(sql)
-	rel, err := sqleval.New(db).Exec(stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prov, err := provenance.Track(db, stmt, rel, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ann := annotate.Annotate(prov)
-	return Build(prov.Parts[0], ann.Parts[0])
-}
-
-func TestBuildGraphShape(t *testing.T) {
-	g := buildFor(t, "SELECT count(*) FROM flight AS T1 JOIN aircraft AS T2 ON T1.aid = T2.aid WHERE T2.name = 'Airbus A340-300'")
-	if g.Nodes[g.Table].Kind != TableNode {
-		t.Fatal("table node missing")
-	}
-	if !strings.Contains(g.Nodes[g.Table].Label, "flight") || !strings.Contains(g.Nodes[g.Table].Label, "aircraft") {
-		t.Fatalf("joint table label: %q", g.Nodes[g.Table].Label)
-	}
-	cols := g.Columns()
-	if len(cols) == 0 {
-		t.Fatal("no column nodes")
-	}
-	// Every column node must link from the table and have a value node.
-	for _, col := range cols {
-		if _, ok := g.ValueOf(col.ID); !ok {
-			t.Fatalf("column %s has no value", col.Label)
-		}
-	}
-}
-
-func TestAnnotationsAttachToColumns(t *testing.T) {
-	g := buildFor(t, "SELECT count(*) FROM flight AS T1 JOIN aircraft AS T2 ON T1.aid = T2.aid WHERE T2.name = 'Airbus A340-300'")
-	found := false
-	for _, col := range g.Columns() {
-		for _, lab := range col.Labels {
-			if lab.Kind == annotate.KindFilter {
-				found = true
-				if v, ok := g.ValueOf(col.ID); !ok || v.Text() != "Airbus A340-300" {
-					t.Fatalf("filter anchored to wrong column value: %v", v)
-				}
-			}
-		}
-	}
-	if !found {
-		t.Fatal("filter annotation did not anchor to a column node")
-	}
-}
-
-func TestTableLevelAnnotations(t *testing.T) {
-	g := buildFor(t, "SELECT count(*) FROM flight")
-	tn := g.Nodes[g.Table]
-	hasAgg := false
-	for _, lab := range tn.Labels {
-		if lab.Kind == annotate.KindAggregate {
-			hasAgg = true
-		}
-	}
-	if !hasAgg {
-		t.Fatal("count(*) must label the table node")
-	}
-}
 
 func worldSchema() *schema.Schema {
 	return &schema.Schema{

@@ -2,8 +2,8 @@
 // dialect, together with SQL rendering (verbatim, plan-key and EM forms;
 // see render.go), deep cloning, and tree walking.
 // Every downstream system manipulates this AST: the executor evaluates it,
-// the provenance tracker rewrites it (paper §IV-A), the annotator chunks it
-// into clause units (§IV-B), the corruption engine mutates it, and the EM
+// the provenance tracker rewrites it (paper §IV-A), the explainer labels it
+// clause unit by clause unit (§IV-B), the corruption engine mutates it, and the EM
 // normalizer canonicalizes it.
 package sqlast
 
